@@ -19,13 +19,9 @@ from repro.flash.geometry import FlashGeometry
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.metrics import EraseDistribution, improvement_ratio
 from repro.traces.generator import MobilePCWorkload, WorkloadParams
-from repro.traces.synthetic import (
-    SequentialLogWorkload,
-    SyntheticParams,
-    UniformWorkload,
-    ZipfianWorkload,
-)
+from repro.traces.model import Op, Request
 from repro.util.tables import render_table
+from repro.workloads import ShapeParams, make_shape
 
 GEOMETRY = FlashGeometry(64, 32, 2048, 300, name="demo-64b")
 SECTORS = 55 * 32 * 4  # the logical space the drivers will export
@@ -37,20 +33,34 @@ def mobile_pc():
     return workload.prefill_requests() + workload.requests()
 
 
-def synthetic(factory, pinned: float, **kwargs):
-    params = SyntheticParams(
-        total_sectors=SECTORS, duration=3600.0, write_rate=30.0,
-        pinned_fraction=pinned, seed=4,
-    )
-    workload = factory(params, **kwargs)
-    return workload.prefill_requests() + workload.requests()
+def shaped(name: str, pinned: float, **kwargs):
+    """A ``repro.workloads`` shape over the space past a pinned region.
+
+    The first ``pinned`` fraction of the sectors is written once up front
+    and never again (the data SWL must keep moving); the shape's LBAs are
+    shifted past that region so its traffic only touches the rest.
+    """
+    pinned_sectors = int(SECTORS * pinned)
+    step = 8
+    prefill = [
+        Request(0.0, Op.WRITE, start, min(step, pinned_sectors - start))
+        for start in range(0, pinned_sectors, step)
+    ]
+    params = ShapeParams(total_sectors=SECTORS - pinned_sectors, rate=30.0,
+                         request_sectors=step, seed=4)
+    shape = make_shape(name, params, **kwargs)
+    return prefill + [
+        Request(request.time, request.op, request.lba + pinned_sectors,
+                request.sectors)
+        for request in shape.requests(3600.0)
+    ]
 
 
 WORKLOADS = {
     "mobile-pc (paper)": mobile_pc,
-    "uniform, no pinned data": lambda: synthetic(UniformWorkload, 0.0),
-    "zipf a=1.2, 50% pinned": lambda: synthetic(ZipfianWorkload, 0.5, alpha=1.2),
-    "circular log, 60% pinned": lambda: synthetic(SequentialLogWorkload, 0.6),
+    "uniform, no pinned data": lambda: shaped("uniform", 0.0),
+    "zipf a=1.2, 50% pinned": lambda: shaped("hotspot", 0.5, theta=1.2),
+    "circular log, 60% pinned": lambda: shaped("sequential", 0.6),
 }
 
 

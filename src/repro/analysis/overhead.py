@@ -77,14 +77,6 @@ class WorstCaseConfig:
         regular = (self.erases_per_interval() - self.cold_blocks) * live_pages_per_erase
         return (self.cold_blocks * pages_per_block) / regular
 
-    def extra_copy_ratio_approx(
-        self, pages_per_block: int, live_pages_per_erase: float
-    ) -> float:
-        """Paper's approximation ``C*N / (T*L*(H+C))``."""
-        return (self.cold_blocks * pages_per_block) / (
-            self.threshold * live_pages_per_erase * self.total_blocks
-        )
-
 
 #: The (H, C, T) rows of paper Table 2 (1 GB MLC×2 = 4,096 blocks).
 TABLE2_CONFIGS = (

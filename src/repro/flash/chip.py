@@ -174,11 +174,6 @@ class NandFlash:
         self._check_block(block)
         self.bad_blocks.add(block)
 
-    def is_bad(self, block: int) -> bool:
-        """``True`` when ``block`` is marked grown bad."""
-        self._check_block(block)
-        return block in self.bad_blocks
-
     # ------------------------------------------------------------------
     # Address validation
     # ------------------------------------------------------------------

@@ -255,7 +255,7 @@ class StorageStack:
         return [self.flash.wear.distribution()]
 
     def wear_heatmap(self, ts: float, bins: int = 64) -> WearHeatmap:
-        """O(bins) heatmap snapshot from incrementally maintained bin sums.
+        """O(bins) heatmap snapshot from bin sums updated at every erase.
 
         The first call (or a ``bins`` change) pays one O(num_blocks)
         rebuild via :meth:`~repro.sim.metrics.WearAccumulator.ensure_bins`;
@@ -427,9 +427,10 @@ def build_stack(
         if getattr(bus, "clock", None) is None:
             bus.clock = lambda: mtd.busy_time
         flash.attach_bus(bus)
-        # The chip's cumulative OpCounters back the pulled hot-counter
-        # path: state-capable subscribers stop listening for per-op
-        # events once a source covers their shard (repro.obs.bus).
+        # The chip's cumulative OpCounters are where the metrics
+        # collector reads read/program/erase totals at flush time; it
+        # never counts per-op events (repro.obs.bus, "Pulled hot
+        # counters").
         bus.register_hot_source(flash)
         layer.attach_bus(bus)
         if leveler is not None and hasattr(leveler, "attach_bus"):

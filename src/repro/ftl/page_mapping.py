@@ -12,8 +12,8 @@ Implementation notes
 * Three write frontiers are kept — host writes, Cleaner copies, and
   SW-Leveler cold moves — so hot, reclaimed, and cold data never share a
   destination block (see DESIGN.md, cold-data destination separation).
-* Per-block valid/invalid page counts are maintained incrementally, making
-  victim scoring O(1) per probe.
+* Per-block valid/invalid page counts are kept current on every page-state
+  change, making victim scoring O(1) per probe.
 * Dynamic wear leveling (which the paper's baseline Cleaner already has,
   Section 1) selects the least-worn block among qualifying GC victims and
   among fully-invalid blocks reclaimed on demand.

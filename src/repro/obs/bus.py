@@ -7,7 +7,7 @@ chasing, no event construction, and no call dispatch.  Components
 normalise whatever they are handed with ``bus if bus else None``, which
 maps :data:`NULL_BUS` (falsy) onto the cheap ``None`` representation.
 
-Four refinements keep the *enabled* path cheap as well (DESIGN.md §5f):
+Three refinements keep the *enabled* path cheap as well (DESIGN.md §5f):
 
 * **Kind masks** — every event kind owns one bit (:data:`M_READ`,
   :data:`M_PROGRAM`, ...), and ``bus.mask`` is the union of what the
@@ -26,31 +26,19 @@ Four refinements keep the *enabled* path cheap as well (DESIGN.md §5f):
   as ``(K_OBJ, ts, shard, event)``, preserving global order.  The buffer
   drains to every subscriber when full, on :meth:`EventBus.flush`, and
   around any subscription change.  If any plain per-record subscriber is
-  attached the bus falls back to the original synchronous
-  :class:`TraceRecord` dispatch, so ad-hoc observers keep exact legacy
-  semantics.
-* **Tally mode** — when additionally *no* subscriber needs timestamps
-  and every subscriber exposes ``consume_tallies`` (the metrics
-  collector — the only subscriber a plain ``Telemetry()`` attaches —
-  qualifies), a hot emission shrinks to appending one shard tag to a
-  per-kind list through a closure rebound on each subscription change.
-  Counting is order-insensitive across kinds (the collector folds hot
-  kinds into disjoint counters, and its only cross-event aggregations
-  are maxima), so splitting the hot kinds out of the ordered stream is
-  observationally lossless; rare kinds still ride the ordered op
-  buffer.
+  attached the bus falls back to synchronous :class:`TraceRecord`
+  dispatch, so ad-hoc observers see every event as it happens.
 * **Pulled hot counters** — the hot kinds carry nothing the device does
   not already know: the chip's cumulative ``OpCounters`` and its wear
   state determine the read/program/erase totals and the per-block erase
   peak exactly.  The factory registers each chip as a *hot source*
-  (:meth:`EventBus.register_hot_source`); the telemetry facade reacts by
-  flipping its collector to pull mode, which removes :data:`HOT_KINDS`
-  from the collector's interest and syncs the counters from device state
-  at flush time instead.  With no other hot-kind subscriber attached the
-  emit-site mask test then fails, so the per-operation cost of metrics
-  collection drops to one integer test — this is what holds telemetry-on
-  replay overhead inside the published budget.  Trace exporters still
-  declare hot interest and stream every event.
+  (:meth:`EventBus.register_hot_source`), and the metrics collector
+  syncs those totals from device state at flush time instead of
+  counting events.  The collector never declares interest in
+  :data:`HOT_KINDS`, so with no other subscriber attached the emit-site
+  mask test fails and the per-operation cost of metrics collection is
+  one integer test.  Trace exporters still declare hot interest and
+  stream every event through the batched path.
 
 Timestamps come from an injectable ``clock`` callable rather than wall
 time: the factory wires it to the device's accumulated ``busy_time``, so
@@ -103,10 +91,10 @@ M_QUEUE_DEPTH = 1 << 11
 #: Every kind bit set — the interest of a subscriber that declares none.
 ALL_EVENTS = (1 << 12) - 1
 
-#: The per-operation kinds a device emits on its own hot path.  A
-#: subscriber that can reconstruct these from device state (see
-#: ``register_hot_source``) drops them from its interest so the emit
-#: sites never fire at all.
+#: The per-operation kinds a device emits on its own hot path.  The
+#: metrics collector reconstructs these from device state (see
+#: ``register_hot_source``) and leaves them out of its interest, so with
+#: no exporter attached the emit sites never fire at all.
 HOT_KINDS = M_READ | M_PROGRAM | M_ERASE
 
 #: Kind tag -> mask bit, for subscribers that filter by kind name.
@@ -128,9 +116,6 @@ KIND_MASKS: dict[str, int] = {
 #: Default buffered-path capacity (events held before an automatic flush).
 DEFAULT_BATCH_CAPACITY = 4096
 
-#: Hot-path emitter names that get closure-bound in tally mode.
-_FAST_EMITTERS = ("emit_read", "emit_program", "emit_erase")
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -146,14 +131,14 @@ class TraceRecord:
 
 
 class EventBus:
-    """Fan-out of telemetry to subscribers: synchronous, batched, or tallied.
+    """Fan-out of telemetry to subscribers: synchronous or batched.
 
-    ``capacity=None`` (the default) keeps the original synchronous
-    semantics: every emission builds a :class:`TraceRecord` and calls
-    each subscriber immediately.  A positive ``capacity`` enables the
-    batched paths whenever every subscriber is batch-capable (see the
-    module docstring); :class:`~repro.obs.telemetry.Telemetry` builds
-    its bus this way.
+    ``capacity=None`` (the default) keeps synchronous semantics: every
+    emission builds a :class:`TraceRecord` and calls each subscriber
+    immediately.  A positive ``capacity`` enables the batched path
+    whenever every subscriber is batch-capable (see the module
+    docstring); :class:`~repro.obs.telemetry.Telemetry` builds its bus
+    this way.
 
     Synchronous dispatch snapshots the subscriber tuple, so a subscriber
     may subscribe/unsubscribe others (or itself) mid-dispatch without
@@ -173,32 +158,21 @@ class EventBus:
         self.mask: int = 0
         self._capacity = capacity
         self._buffer: list[BatchOp] = []
-        # Tally-mode per-kind accumulators: shard tags for reads and
-        # programs, (shard, erase_count) pairs for erases.  Identities
-        # are stable — cleared in place — because the closure emitters
-        # capture the list objects.
-        self._tally_reads: list[int] = []
-        self._tally_programs: list[int] = []
-        self._tally_erases: list[tuple[int, int]] = []
         self._buffered = False
-        self._tallying = False
         self._need_ts = False
         #: Shard views handed out by :meth:`for_shard`, kept so a
-        #: subscription change can rebind their fast emitters too.
+        #: subscription change can update their ``mask`` mirrors.
         self._views: list[ShardBus] = []
         #: Per-shard devices whose cumulative hot counters can be read
         #: directly (see :meth:`register_hot_source`).
         self.hot_sources: dict[int, Any] = {}
-        #: Invoked after every :meth:`register_hot_source`; the telemetry
-        #: facade hooks this to flip its collector into pull mode.
-        self.on_sources_changed: Optional[Callable[[], None]] = None
 
     def __bool__(self) -> bool:
         return True
 
     # -- subscription ----------------------------------------------------
     def _rewire(self) -> None:
-        """Recompute mask/mode and rebind fast emitters after a change."""
+        """Recompute mask and dispatch mode after a subscription change."""
         subs = self._subscribers
         mask = 0
         for subscriber in subs:
@@ -210,57 +184,8 @@ class EventBus:
         self._buffered = bool(subs) and self._capacity is not None and all(
             hasattr(subscriber, "consume_batch") for subscriber in subs
         )
-        self._tallying = self._buffered and not self._need_ts and all(
-            hasattr(subscriber, "consume_tallies") for subscriber in subs
-        )
-        self._bind_emitters()
         for view in self._views:
-            view._bind_emitters()
-
-    def _bind_emitters(self) -> None:
-        """Shadow the ``emit_*`` methods with tally-mode closures.
-
-        In tally mode a hot emission must be as close to a bare
-        ``list.append(shard)`` as Python allows; binding closures over
-        the tally lists into the instance ``__dict__`` drops every
-        ``self`` attribute hop from the per-event path.  Outside tally
-        mode the shadows are removed and the class methods (which handle
-        every mode) resolve again.
-        """
-        instance = self.__dict__
-        for name in _FAST_EMITTERS:
-            instance.pop(name, None)
-        if not self._tallying:
-            return
-        capacity = self._capacity
-        assert capacity is not None
-        flush = self.flush
-        reads = self._tally_reads
-        programs = self._tally_programs
-        erases = self._tally_erases
-
-        def emit_read(block: int, page: int, shard: int = 0,
-                      _append: Any = reads.append, _len: Any = len) -> None:
-            _append(shard)
-            if _len(reads) >= capacity:
-                flush()
-
-        def emit_program(block: int, page: int, lba: int, shard: int = 0,
-                         _append: Any = programs.append,
-                         _len: Any = len) -> None:
-            _append(shard)
-            if _len(programs) >= capacity:
-                flush()
-
-        def emit_erase(block: int, count: int, shard: int = 0,
-                       _append: Any = erases.append, _len: Any = len) -> None:
-            _append((shard, count))
-            if _len(erases) >= capacity:
-                flush()
-
-        instance["emit_read"] = emit_read
-        instance["emit_program"] = emit_program
-        instance["emit_erase"] = emit_erase
+            view.mask = mask
 
     def subscribe(self, subscriber: Subscriber) -> None:
         """Register ``subscriber``; duplicates are allowed and fire twice."""
@@ -277,34 +202,18 @@ class EventBus:
             self._subscribers = tuple(subs)
             self._rewire()
 
-    def refresh(self) -> None:
-        """Recompute dispatch mode after a subscriber changed its interest.
-
-        Subscribers are plain objects; when one mutates its
-        ``interest_mask`` (e.g. the collector entering pull mode) the bus
-        cannot see it happen, so the mutator calls this.  Flushes first
-        so buffered emissions are folded under the old interest.
-        """
-        self.flush()
-        self._rewire()
-
     # -- hot counter sources ---------------------------------------------
     def register_hot_source(self, source: Any, shard: int = 0) -> None:
         """Register a device whose hot counters can be read from state.
 
         ``source`` must expose cumulative ``counters`` (with ``reads``,
         ``programs``, ``erases``) and ``max_erase_count()`` — the exact
-        facts the hot event kinds carry.  A state-capable subscriber
-        (the metrics collector) can then *pull* those totals at flush
-        time and drop :data:`HOT_KINDS` from its interest, which silences
-        the per-operation emit sites entirely.  The factory registers
-        every chip it wires to a bus; re-registering a shard replaces its
-        source.
+        facts the hot event kinds carry.  The metrics collector pulls
+        those totals at flush time instead of counting hot events.  The
+        factory registers every chip it wires to a bus; re-registering a
+        shard replaces its source.
         """
         self.hot_sources[shard] = source
-        callback = self.on_sources_changed
-        if callback is not None:
-            callback()
 
     # -- time ------------------------------------------------------------
     def now(self) -> float:
@@ -333,90 +242,48 @@ class EventBus:
         for subscriber in self._subscribers:
             subscriber(record)
 
-    def emit_read(self, block: int, page: int, shard: int = 0) -> None:
-        """Hot-path read emission: no Event/TraceRecord when batched.
+    def _emit_hot(self, now: Clock, shard: int, kind: int,
+                  event_type: Callable[..., Event],
+                  fields: Tuple[int, ...]) -> None:
+        """Shared body of every ``emit_read``/``emit_program``/``emit_erase``.
 
-        In tally mode an instance-bound closure shadows this method;
-        this general version covers every mode for callers that resolve
-        it through the class (and the synchronous/op-buffered paths).
+        Batched: append the flat ``(kind, ts, shard, *fields)`` op.
+        Synchronous: build ``event_type(*fields)`` and dispatch it.
+        ``now`` is the emitting view's clock reader.
         """
-        if self._tallying:
-            reads = self._tally_reads
-            reads.append(shard)
-            if len(reads) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._buffered:
+        if self._buffered:
             buffer = self._buffer
             buffer.append(
-                (K_READ, self.now() if self._need_ts else 0.0, shard,
-                 block, page)
+                (kind, now() if self._need_ts else 0.0, shard) + fields
             )
             if len(buffer) >= self._capacity:  # type: ignore[operator]
                 self.flush()
         elif self._subscribers:
-            self.emit(Read(block, page), shard)
+            record = TraceRecord(now(), shard, event_type(*fields))
+            for subscriber in self._subscribers:
+                subscriber(record)
+
+    def emit_read(self, block: int, page: int, shard: int = 0) -> None:
+        """Hot-path read emission: no Event/TraceRecord when batched."""
+        self._emit_hot(self.now, shard, K_READ, Read, (block, page))
 
     def emit_program(self, block: int, page: int, lba: int,
                      shard: int = 0) -> None:
         """Hot-path program emission: no Event/TraceRecord when batched."""
-        if self._tallying:
-            programs = self._tally_programs
-            programs.append(shard)
-            if len(programs) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._buffered:
-            buffer = self._buffer
-            buffer.append(
-                (K_PROGRAM, self.now() if self._need_ts else 0.0, shard,
-                 block, page, lba)
-            )
-            if len(buffer) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._subscribers:
-            self.emit(Program(block, page, lba), shard)
+        self._emit_hot(self.now, shard, K_PROGRAM, Program,
+                       (block, page, lba))
 
     def emit_erase(self, block: int, count: int, shard: int = 0) -> None:
         """Hot-path erase emission: no Event/TraceRecord when batched."""
-        if self._tallying:
-            erases = self._tally_erases
-            erases.append((shard, count))
-            if len(erases) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._buffered:
-            buffer = self._buffer
-            buffer.append(
-                (K_ERASE, self.now() if self._need_ts else 0.0, shard,
-                 block, count)
-            )
-            if len(buffer) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._subscribers:
-            self.emit(Erase(block, count), shard)
+        self._emit_hot(self.now, shard, K_ERASE, Erase, (block, count))
 
     def flush(self) -> None:
         """Drain buffered emissions to every subscriber.
 
-        Consumers receive the batch/tally lists for the duration of the
-        call only and must not retain them.  A no-op when nothing is
-        buffered (in particular, always a no-op in synchronous mode).
+        Consumers receive the batch for the duration of the call only and
+        must not retain it.  A no-op when nothing is buffered (in
+        particular, always a no-op in synchronous mode).
         """
-        if self._tallying:
-            reads = self._tally_reads
-            programs = self._tally_programs
-            erases = self._tally_erases
-            ops = self._buffer
-            if not (reads or programs or erases or ops):
-                return
-            for subscriber in self._subscribers:
-                subscriber.consume_tallies(  # type: ignore[attr-defined]
-                    reads, programs, erases, ops
-                )
-            # Clear in place: the closure emitters capture these lists.
-            del reads[:]
-            del programs[:]
-            del erases[:]
-            del ops[:]
-            return
         batch = self._buffer
         if not batch:
             return
@@ -424,19 +291,11 @@ class EventBus:
         for subscriber in self._subscribers:
             subscriber.consume_batch(batch)  # type: ignore[attr-defined]
 
-    @property
-    def pending(self) -> int:
-        """Buffered emissions not yet delivered (0 in synchronous mode)."""
-        return (
-            len(self._buffer) + len(self._tally_reads)
-            + len(self._tally_programs) + len(self._tally_erases)
-        )
-
     def for_shard(self, shard: int, clock: Optional[Clock] = None) -> "ShardBus":
         """A view of this bus that tags emissions with ``shard``.
 
         ``clock`` overrides the timestamp source for that shard (each
-        array channel keeps its own busy-time tally).
+        array channel accumulates its own busy time).
         """
         return ShardBus(self, shard, clock)
 
@@ -446,9 +305,8 @@ class ShardBus:
 
     Presents the same ``emit``/``emit_*``/``mask``/``clock`` surface as
     :class:`EventBus` so instrumented components are topology-blind.
-    Registers itself with the parent so tally-mode closure emitters
-    (with the shard tag baked in) stay current across subscription
-    changes.
+    Registers itself with the parent so its ``mask`` mirror stays
+    current across subscription changes.
     """
 
     def __init__(self, parent: EventBus, shard: int,
@@ -458,54 +316,13 @@ class ShardBus:
         self.clock: Optional[Clock] = clock
         #: Mirror of ``parent.mask`` as a plain attribute — emit-site
         #: guards test it per event, so a property would put a descriptor
-        #: call on the hot path.  Kept in sync by :meth:`_bind_emitters`,
-        #: which the parent invokes on every subscription change.
+        #: call on the hot path.  The parent updates it in ``_rewire`` on
+        #: every subscription change.
         self.mask: int = parent.mask
         parent._views.append(self)
-        self._bind_emitters()
 
     def __bool__(self) -> bool:
         return True
-
-    def _bind_emitters(self) -> None:
-        """Mirror of :meth:`EventBus._bind_emitters` with a fixed shard."""
-        self.mask = self.parent.mask
-        instance = self.__dict__
-        for name in _FAST_EMITTERS:
-            instance.pop(name, None)
-        parent = self.parent
-        if not parent._tallying:
-            return
-        shard = self.shard
-        capacity = parent._capacity
-        assert capacity is not None
-        flush = parent.flush
-        reads = parent._tally_reads
-        programs = parent._tally_programs
-        erases = parent._tally_erases
-
-        def emit_read(block: int, page: int,
-                      _append: Any = reads.append, _len: Any = len) -> None:
-            _append(shard)
-            if _len(reads) >= capacity:
-                flush()
-
-        def emit_program(block: int, page: int, lba: int,
-                         _append: Any = programs.append,
-                         _len: Any = len) -> None:
-            _append(shard)
-            if _len(programs) >= capacity:
-                flush()
-
-        def emit_erase(block: int, count: int,
-                       _append: Any = erases.append, _len: Any = len) -> None:
-            _append((shard, count))
-            if _len(erases) >= capacity:
-                flush()
-
-        instance["emit_read"] = emit_read
-        instance["emit_program"] = emit_program
-        instance["emit_erase"] = emit_erase
 
     def now(self) -> float:
         clock = self.clock
@@ -531,64 +348,19 @@ class ShardBus:
             subscriber(record)
 
     def emit_read(self, block: int, page: int) -> None:
-        parent = self.parent
-        if parent._tallying:
-            reads = parent._tally_reads
-            reads.append(self.shard)
-            if len(reads) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._buffered:
-            buffer = parent._buffer
-            buffer.append(
-                (K_READ, self.now() if parent._need_ts else 0.0, self.shard,
-                 block, page)
-            )
-            if len(buffer) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._subscribers:
-            self.emit(Read(block, page))
+        self.parent._emit_hot(self.now, self.shard, K_READ, Read,
+                              (block, page))
 
     def emit_program(self, block: int, page: int, lba: int) -> None:
-        parent = self.parent
-        if parent._tallying:
-            programs = parent._tally_programs
-            programs.append(self.shard)
-            if len(programs) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._buffered:
-            buffer = parent._buffer
-            buffer.append(
-                (K_PROGRAM, self.now() if parent._need_ts else 0.0, self.shard,
-                 block, page, lba)
-            )
-            if len(buffer) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._subscribers:
-            self.emit(Program(block, page, lba))
+        self.parent._emit_hot(self.now, self.shard, K_PROGRAM, Program,
+                              (block, page, lba))
 
     def emit_erase(self, block: int, count: int) -> None:
-        parent = self.parent
-        if parent._tallying:
-            erases = parent._tally_erases
-            erases.append((self.shard, count))
-            if len(erases) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._buffered:
-            buffer = parent._buffer
-            buffer.append(
-                (K_ERASE, self.now() if parent._need_ts else 0.0, self.shard,
-                 block, count)
-            )
-            if len(buffer) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._subscribers:
-            self.emit(Erase(block, count))
+        self.parent._emit_hot(self.now, self.shard, K_ERASE, Erase,
+                              (block, count))
 
     def flush(self) -> None:
         self.parent.flush()
-
-    def refresh(self) -> None:
-        self.parent.refresh()
 
     def register_hot_source(self, source: Any, shard: Optional[int] = None) -> None:
         self.parent.register_hot_source(
@@ -636,9 +408,6 @@ class NullEventBus:
         pass
 
     def flush(self) -> None:
-        pass
-
-    def refresh(self) -> None:
         pass
 
     def register_hot_source(self, source: Any, shard: int = 0) -> None:

@@ -60,7 +60,7 @@ class WearHeatmap:
         """Build a snapshot from pre-aggregated per-bin erase-count sums.
 
         The O(bins) companion of :meth:`from_counts` for callers that
-        maintain the bin sums incrementally (see
+        keep the bin sums up to date per erase (see
         :class:`~repro.sim.metrics.WearAccumulator`).  Cell values are
         the same ``round(sum / size, 3)`` means — the sums are exact
         integers either way, so both constructors produce identical

@@ -41,13 +41,17 @@ class Telemetry:
     ``log_events=True`` to additionally route events onto the
     ``repro.*`` logging channels.
 
-    The facade's bus is built with a batch capacity: every standard
-    subscriber is batch-capable, so hot events append flat tuples to a
-    buffer instead of allocating per-event records (DESIGN.md §5f).
-    :meth:`flush` drains the buffer; :meth:`snapshot` and :meth:`finish`
-    flush first, so observed metrics are always complete.  The experiment
-    runners also flush after each run, so collector state read directly
-    (``telemetry.collector``) is complete too.
+    The collector takes read/program/erase totals from the chips the
+    factory registers as hot sources on the bus; :meth:`flush` pulls them
+    from device state after draining the buffer.  The facade's bus is
+    built with a batch capacity: every standard subscriber is
+    batch-capable, so the events that do flow (cold kinds always, hot
+    kinds only when a trace exporter asks for them) append flat tuples
+    to a buffer instead of dispatching per record (DESIGN.md §5f).
+    :meth:`snapshot` and :meth:`finish` flush first, so observed metrics
+    are always complete.  The experiment runners also flush after each
+    run, so collector state read directly (``telemetry.collector``) is
+    complete too.
     """
 
     def __init__(
@@ -64,11 +68,6 @@ class Telemetry:
         self.bus = EventBus(capacity=DEFAULT_BATCH_CAPACITY)
         self.collector = MetricsCollector()
         self.bus.subscribe(self.collector)
-        # When the factory registers the chips it wires (hot counter
-        # sources), flip the collector to pull mode: hot totals then come
-        # from device state at flush time and the per-operation emit
-        # sites go quiet (see repro.obs.bus, "Pulled hot counters").
-        self.bus.on_sources_changed = self._on_sources_changed
         self.heatmap_bins = heatmap_bins
         self.heatmap_interval = heatmap_interval
         self.jsonl: Optional[JsonlTraceExporter] = None
@@ -105,17 +104,10 @@ class Telemetry:
             **kwargs,  # type: ignore[arg-type]
         )
 
-    def _on_sources_changed(self) -> None:
-        enabled = bool(self.bus.hot_sources)
-        if enabled != self.collector.pulls_hot_counters:
-            self.collector.set_pull_mode(enabled)
-            self.bus.refresh()
-
     def flush(self) -> None:
         """Drain any buffered events; sync pulled counters from devices."""
         self.bus.flush()
-        if self.collector.pulls_hot_counters:
-            self.collector.pull_hot_counters(self.bus.hot_sources)
+        self.collector.pull_hot_counters(self.bus.hot_sources)
 
     def snapshot(self) -> MetricsSnapshot:
         """Global metrics snapshot (exact merge across shards)."""

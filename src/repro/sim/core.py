@@ -240,19 +240,6 @@ class RequestCore:
         self._span_buffer: list[int] = []
 
     # ------------------------------------------------------------------
-    def _page_span(self, request: Request) -> range:
-        """Logical pages touched by a sector request."""
-        first = request.lba // self._spp
-        last = (request.end_lba - 1) // self._spp
-        if self.lba_modulo:
-            return range(first, last + 1)  # wrapped per-page below
-        if last >= self._logical_pages:
-            raise TranslationError(
-                f"request [{request.lba}, {request.end_lba}) exceeds the "
-                f"logical space of {self._logical_pages} pages"
-            )
-        return range(first, last + 1)
-
     def apply(self, request: Request) -> None:
         """Apply one request to the backend and advance the clock.
 

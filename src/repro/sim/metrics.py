@@ -12,7 +12,7 @@ moments — block count ``n``, total ``sum(c)``, and second moment
 ``sum(c^2)`` — so the same floating-point values are produced whether the
 moments come from a one-shot :meth:`EraseDistribution.from_counts` scan,
 from an exact :meth:`EraseDistribution.merge` of per-shard parts, or from
-a :class:`WearAccumulator` maintained incrementally at erase time (the
+a :class:`WearAccumulator` updated at every erase (the
 O(1)-per-erase path the simulation engine samples).  Integer arithmetic
 is order-independent and overflow-free in Python, which is what makes the
 three paths bit-identical (see DESIGN.md, hot-path accounting invariants).

@@ -49,6 +49,7 @@ from repro.obs.events import (
     GcEnd,
     GcStart,
     Program,
+    QueueDepth,
     Read,
     SwlInvoke,
 )
@@ -246,34 +247,37 @@ class TestMetricsCollector:
         collector = MetricsCollector()
         bus.subscribe(collector)
         bus.emit(Erase(block=0, count=3))
-        bus.emit(Erase(block=1, count=1))
         bus.emit(Program(block=0, page=0, lba=5))
         bus.emit(Read(block=0, page=0))
         bus.emit(GcStart(reason="free-space", victim=0))
         bus.emit(GcEnd(reason="free-space", victim=0, copies=4, erases=1))
+        collector.pull_hot_counters(
+            {0: _FakeHotSource(reads=1, programs=1, erases=2, max_erases=3)}
+        )
         snapshot = collector.snapshot()
+        # Flash totals come from the pulled device, not the hot events.
         assert snapshot.counters["repro_flash_erases_total"].value == 2
         assert snapshot.counters["repro_flash_programs_total"].value == 1
         assert snapshot.counters["repro_flash_reads_total"].value == 1
+        assert snapshot.gauges["repro_flash_max_block_erases"].value == 3
         assert snapshot.counters["repro_gc_passes_total"].value == 1
         assert snapshot.counters["repro_gc_copied_pages_total"].value == 4
-        assert snapshot.gauges["repro_flash_max_block_erases"].value == 3
 
     def test_per_shard_registries_merge_to_global(self):
         bus = EventBus()
         collector = MetricsCollector()
         bus.subscribe(collector)
-        bus.for_shard(0).emit(Erase(block=0, count=2))
-        bus.for_shard(1).emit(Erase(block=0, count=5))
+        bus.for_shard(0).emit(QueueDepth(depth=2, stalls=1))
+        bus.for_shard(1).emit(QueueDepth(depth=5, stalls=3))
         assert collector.shards == (0, 1)
         shard0 = collector.shard_snapshot(0)
         shard1 = collector.shard_snapshot(1)
-        assert shard0.counters["repro_flash_erases_total"].value == 1
-        assert shard1.counters["repro_flash_erases_total"].value == 1
+        assert shard0.gauges["repro_service_queue_stalls"].value == 1
+        assert shard1.gauges["repro_service_queue_stalls"].value == 3
         merged = collector.snapshot()
-        assert merged.counters["repro_flash_erases_total"].value == 2
+        assert merged.gauges["repro_service_queue_stalls"].value == 4
         # Gauge uses max aggregation: the worst shard wins.
-        assert merged.gauges["repro_flash_max_block_erases"].value == 5
+        assert merged.gauges["repro_service_queue_depth"].value == 5
 
     def test_swl_latency_histogram(self):
         bus = EventBus()
@@ -292,15 +296,24 @@ class TestMetricsCollector:
 
 
 # ----------------------------------------------------------------------
-# Delivery-mode equivalence: per-event vs batched vs tallied
+# Delivery-form equivalence: per-record vs batched
 # ----------------------------------------------------------------------
+_HOT_METRICS = (
+    "repro_flash_reads_total",
+    "repro_flash_programs_total",
+    "repro_flash_erases_total",
+    "repro_flash_max_block_erases",
+)
+
+
 @st.composite
 def _telemetry_streams(draw):
     """A random interleaving of hot events and cold events across shards.
 
-    Each element is ``(kind, shard, event)`` with *kind* one of
-    ``"read"``, ``"program"``, ``"erase"``, ``"cold"`` — enough to
-    reconstruct every delivery form the bus uses.
+    Each element is ``(kind, shard, event, flat)`` with *kind* one of
+    ``"read"``, ``"program"``, ``"erase"``, ``"cold"``; *flat* says
+    whether a batched bus would carry a hot event as a flat op (the
+    ``emit_*`` entry points) or as a ``K_OBJ`` event (a plain ``emit``).
     """
     cold_events = (
         GcStart(reason="free-space", victim=1),
@@ -308,6 +321,7 @@ def _telemetry_streams(draw):
         SwlInvoke(findex=0, unevenness=2.5, ecnt=5, fcnt=2,
                   latency_erases=1),
         BetReset(resets=1, findex=3),
+        QueueDepth(depth=4, stalls=2),
     )
     stream = []
     for _ in range(draw(st.integers(min_value=0, max_value=40))):
@@ -325,99 +339,63 @@ def _telemetry_streams(draw):
                           count=draw(st.integers(1, 50)))
         else:
             event = draw(st.sampled_from(cold_events))
-        stream.append((kind, shard, event))
+        stream.append((kind, shard, event, draw(st.booleans())))
     return stream
 
 
 class TestCollectorDeliveryEquivalence:
-    """The three bus delivery modes fold to identical metric state.
+    """The two bus delivery forms fold to identical metric state.
 
     ``EventBus`` delivers the same emissions as synchronous per-record
-    calls, as a buffered op batch (``consume_batch``) or as per-kind
-    tallies (``consume_tallies``); the throughput work relies on the
-    three being interchangeable, so the equivalence is property-tested
-    here (and referenced by the ``consume_tallies`` docstring).
+    calls or as a buffered op batch (``consume_batch``); the exporters
+    and the collector rely on the two being interchangeable, so the
+    equivalence is property-tested here.  In neither form does a hot
+    event reach a metric: hot totals are pulled from devices.
     """
 
     @staticmethod
-    def _per_event(stream, pull):
+    def _per_record(stream):
         collector = MetricsCollector()
-        collector.set_pull_mode(pull)
-        for _, shard, event in stream:
+        for _, shard, event, _ in stream:
             collector(TraceRecord(ts=0.0, shard=shard, event=event))
         return collector
 
     @staticmethod
-    def _batched(stream, pull):
+    def _batched(stream):
         collector = MetricsCollector()
-        collector.set_pull_mode(pull)
         batch = []
-        for kind, shard, event in stream:
-            if kind == "read":
+        for kind, shard, event, flat in stream:
+            if kind == "read" and flat:
                 batch.append((K_READ, 0.0, shard, event.block, event.page))
-            elif kind == "program":
+            elif kind == "program" and flat:
                 batch.append((K_PROGRAM, 0.0, shard, event.block,
                               event.page, event.lba))
-            elif kind == "erase":
+            elif kind == "erase" and flat:
                 batch.append((K_ERASE, 0.0, shard, event.block, event.count))
             else:
                 batch.append((K_OBJ, 0.0, shard, event))
         collector.consume_batch(batch)
         return collector
 
-    @staticmethod
-    def _tallied(stream, pull):
-        collector = MetricsCollector()
-        collector.set_pull_mode(pull)
-        reads: list[int] = []
-        programs: list[int] = []
-        erases: list[tuple[int, int]] = []
-        ops = []
-        for kind, shard, event in stream:
-            if kind == "read":
-                reads.append(shard)
-            elif kind == "program":
-                programs.append(shard)
-            elif kind == "erase":
-                erases.append((shard, event.count))
-            else:
-                ops.append((K_OBJ, 0.0, shard, event))
-        collector.consume_tallies(reads, programs, erases, ops)
-        return collector
-
-    @staticmethod
-    def _assert_identical(reference, *others):
-        for other in others:
-            assert other.shards == reference.shards
-            assert other.snapshot() == reference.snapshot()
-            for shard in reference.shards:
-                assert (other.shard_snapshot(shard)
-                        == reference.shard_snapshot(shard))
-
     @settings(max_examples=60, deadline=None)
     @given(stream=_telemetry_streams())
-    def test_batched_and_tallied_match_per_event(self, stream):
-        self._assert_identical(
-            self._per_event(stream, pull=False),
-            self._batched(stream, pull=False),
-            self._tallied(stream, pull=False),
-        )
+    def test_batched_matches_per_record(self, stream):
+        reference = self._per_record(stream)
+        batched = self._batched(stream)
+        assert batched.shards == reference.shards
+        assert batched.snapshot() == reference.snapshot()
+        for shard in reference.shards:
+            assert (batched.shard_snapshot(shard)
+                    == reference.shard_snapshot(shard))
 
     @settings(max_examples=30, deadline=None)
     @given(stream=_telemetry_streams())
-    def test_pull_mode_ignores_hot_kinds_in_every_delivery(self, stream):
-        # In pull mode all three forms must drop reads/programs/erases
-        # and agree on the surviving cold-event state.
-        pulled = self._per_event(stream, pull=True)
-        self._assert_identical(
-            pulled,
-            self._batched(stream, pull=True),
-            self._tallied(stream, pull=True),
-        )
-        snapshot = pulled.snapshot()
-        assert "repro_flash_reads_total" not in snapshot.counters
-        assert "repro_flash_programs_total" not in snapshot.counters
-        assert "repro_flash_erases_total" not in snapshot.counters
+    def test_hot_kinds_never_counted_from_events(self, stream):
+        for collector in (self._per_record(stream), self._batched(stream)):
+            snapshot = collector.snapshot()
+            for name in _HOT_METRICS:
+                assert name not in snapshot.counters
+                assert name not in snapshot.gauges
 
 
 # ----------------------------------------------------------------------
@@ -442,19 +420,21 @@ class _FakeHotSource:
 
 
 class TestPulledHotCounters:
-    def test_pull_mode_narrows_and_restores_interest_mask(self):
+    def test_interest_mask_excludes_hot_kinds(self):
         collector = MetricsCollector()
-        assert collector.interest_mask == ALL_EVENTS
-        assert not collector.pulls_hot_counters
-        collector.set_pull_mode(True)
-        assert collector.pulls_hot_counters
         assert collector.interest_mask == ALL_EVENTS & ~HOT_KINDS
-        collector.set_pull_mode(False)
-        assert collector.interest_mask == ALL_EVENTS
+        # A bus whose only subscriber is the collector silences the hot
+        # emit sites, on the shard views as well as the parent.
+        bus = EventBus(capacity=8)
+        view = bus.for_shard(1)
+        bus.subscribe(collector)
+        assert bus.mask == view.mask == ALL_EVENTS & ~HOT_KINDS
+        records = []
+        bus.subscribe(records.append)
+        assert bus.mask == view.mask == ALL_EVENTS
 
     def test_repeated_pulls_apply_exact_deltas(self):
         collector = MetricsCollector()
-        collector.set_pull_mode(True)
         source = _FakeHotSource(reads=10, programs=5, erases=3, max_erases=7)
         collector.pull_hot_counters({0: source})
         snapshot = collector.snapshot()
@@ -482,14 +462,12 @@ class TestPulledHotCounters:
         # Another subscriber (say a trace exporter) may keep hot events
         # flowing; the collector must take hot totals from pulls only.
         collector = MetricsCollector()
-        collector.set_pull_mode(True)
         collector(TraceRecord(ts=0.0, shard=0, event=Read(block=0, page=0)))
         collector.consume_batch([
             (K_READ, 0.0, 0, 0, 0),
             (K_ERASE, 0.0, 0, 0, 5),
             (K_OBJ, 0.0, 0, Program(block=0, page=1, lba=2)),
         ])
-        collector.consume_tallies([0], [0], [(0, 5)], [])
         source = _FakeHotSource(reads=4, programs=2, erases=1, max_erases=5)
         collector.pull_hot_counters({0: source})
         snapshot = collector.snapshot()
@@ -499,7 +477,6 @@ class TestPulledHotCounters:
 
     def test_cold_events_still_fold_in_pull_mode(self):
         collector = MetricsCollector()
-        collector.set_pull_mode(True)
         collector(TraceRecord(ts=0.0, shard=0,
                               event=BetReset(resets=1, findex=2)))
         snapshot = collector.snapshot()
@@ -510,7 +487,6 @@ class TestPulledHotCounters:
         # the pull must not decrement counters (impossible) nor replay
         # the rewound span later — it re-baselines at the lower value.
         collector = MetricsCollector()
-        collector.set_pull_mode(True)
         source = _FakeHotSource(reads=100, programs=50, erases=20,
                                 max_erases=9)
         collector.pull_hot_counters({0: source})
@@ -524,9 +500,48 @@ class TestPulledHotCounters:
         snapshot = collector.snapshot()
         assert snapshot.counters["repro_flash_reads_total"].value == 130
 
+    def test_replaced_source_counts_from_zero(self):
+        # A second device registered for a shard (a second stack on the
+        # same bus) starts below the first device's totals; its work
+        # must still count, on top of what the first device did.
+        collector = MetricsCollector()
+        first = _FakeHotSource(reads=100, programs=50, erases=20,
+                               max_erases=9)
+        collector.pull_hot_counters({0: first})
+        second = _FakeHotSource(reads=30, programs=10, erases=5,
+                                max_erases=4)
+        collector.pull_hot_counters({0: second})
+        snapshot = collector.snapshot()
+        assert snapshot.counters["repro_flash_reads_total"].value == 130
+        assert snapshot.counters["repro_flash_programs_total"].value == 60
+        assert snapshot.counters["repro_flash_erases_total"].value == 25
+        assert snapshot.gauges["repro_flash_max_block_erases"].value == 9
+        # The new device is the baseline from here on.
+        second.counters.reads = 45
+        collector.pull_hot_counters({0: second})
+        snapshot = collector.snapshot()
+        assert snapshot.counters["repro_flash_reads_total"].value == 145
+
+    def test_second_stack_on_same_telemetry_keeps_flash_counts(self):
+        telemetry = Telemetry()
+        chips = []
+        for writes in (3000, 1000):
+            stack = build_stack(MLC2_TINY, "ftl", bus=telemetry.bus)
+            pages = stack.layer.num_logical_pages
+            for index in range(writes):
+                stack.layer.write(index % pages)
+            telemetry.flush()
+            chips.append(stack.flash)
+        snapshot = telemetry.snapshot()
+        for name, field in (("repro_flash_programs_total", "programs"),
+                            ("repro_flash_erases_total", "erases")):
+            assert snapshot.counters[name].value == sum(
+                getattr(chip.counters, field) for chip in chips
+            )
+        assert snapshot.counters["repro_flash_programs_total"].value >= 4000
+
     def test_per_shard_pulls_keep_registries_separate(self):
         collector = MetricsCollector()
-        collector.set_pull_mode(True)
         collector.pull_hot_counters({
             0: _FakeHotSource(reads=3, max_erases=2),
             1: _FakeHotSource(reads=7, max_erases=6),
@@ -876,3 +891,26 @@ class TestTelemetryFacade:
         document = json.load(open(files["chrome"]))
         assert document["traceEvents"]
         assert "repro_flash_erases_total" in files["prometheus"].read_text()
+
+    def test_exporter_hot_stream_matches_pulled_erases(
+        self, tmp_path, small_run
+    ):
+        # The JSONL exporter keeps hot events flowing through the batched
+        # bus while the collector pulls its totals from the chips: both
+        # must agree with the replay's own erase count.
+        spec, trace = small_run
+        array_spec = ExperimentSpec(
+            spec.driver, spec.geometry, spec.swl, seed=spec.seed, channels=2,
+        )
+        telemetry = Telemetry.to_directory(tmp_path / "out")
+        result = run_fixed_horizon(
+            array_spec, trace, 3600.0, telemetry=telemetry
+        )
+        files = telemetry.finish()
+        snapshot = telemetry.snapshot()
+        assert result.total_erases > 0
+        assert (snapshot.counters["repro_flash_erases_total"].value
+                == result.total_erases)
+        kinds = [json.loads(line)["kind"]
+                 for line in files["jsonl"].read_text().splitlines()]
+        assert kinds.count("erase") == result.total_erases
