@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-quick bench-trajectory bench-hotpath scale-gate examples clean
+.PHONY: install test test-log bench bench-log bench-quick perf golden scale-gate examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -19,19 +19,16 @@ bench:
 bench-log:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-bench-quick:
+bench-quick: golden
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_trajectory.py
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py
 
-# Just the per-PR trajectory point (BENCH_PR.json), without the suite.
-bench-trajectory:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_trajectory.py
+# The repository benchmark: end-to-end and per-layer performance.
+perf:
+	$(PYTHON) perfbench/run.py
 
-# Hot-path microbenches + fixed-seed golden replay check.
-bench-hotpath:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py --check-golden
+# Fixed-seed golden replay check (benchmarks/golden_hotpath.json).
+golden:
+	PYTHONPATH=src $(PYTHON) benchmarks/golden_replay.py
 
 # On-runner scale-feature budgets (telemetry overhead, parallel sweep).
 scale-gate:

@@ -28,11 +28,12 @@ build (DESIGN.md §5f):
   produce the identical digest: the leveler registry is an indirection,
   not a behaviour change.
 
-The thresholds are deliberately loose (the full-precision trajectory
-point lives in ``BENCH_PR.json`` via ``make bench-trajectory``): this
-gate exists to catch order-of-magnitude regressions — a hot-path event
-allocation sneaking back in, the sweep pool silently serialising — not
-to police single-digit percentages on noisy shared runners.
+The thresholds are deliberately loose (the repository benchmark,
+``perfbench/run.py``, measures throughput and telemetry overhead at full
+precision): this gate exists to catch order-of-magnitude regressions —
+a hot-path event allocation sneaking back in, the sweep pool silently
+serialising — not to police single-digit percentages on noisy shared
+runners.
 
 Usage::
 
@@ -59,9 +60,10 @@ from repro.sim.experiment import (
     workload_params_for,
 )
 
-#: Gate workload: same shape as benchmarks/perf_trajectory.py, half the
-#: horizon — large enough that pool start-up and trace pickling do not
-#: dominate a 2-worker sweep, small enough for every CI build.
+#: Gate workload: the paper's mobile-PC trace on a 48-block chip over
+#: half a simulated day — large enough that pool start-up and trace
+#: pickling do not dominate a 2-worker sweep, small enough for every CI
+#: build.
 BLOCKS = 48
 SCALE = 100
 HORIZON = 0.5 * 86_400.0
@@ -71,8 +73,8 @@ SEED = 7
 REPEATS = 3
 
 #: Replay with telemetry attached may cost at most this much extra
-#: wall-clock over the telemetry-off replay.  The trajectory point
-#: tracks the precise figure (<10 % at PR 7); the gate only catches
+#: wall-clock over the telemetry-off replay.  perfbench's
+#: ``obs.overhead_pct`` tracks the precise figure; the gate only catches
 #: blow-ups.
 TELEMETRY_MAX_OVERHEAD_PCT = 25.0
 
@@ -283,7 +285,7 @@ def gate_replay_golden() -> list[str]:
     sys.path.insert(
         0, str(Path(__file__).resolve().parent.parent / "benchmarks")
     )
-    from bench_hotpath import check_golden
+    from golden_replay import check_golden
 
     if check_golden() != 0:
         return ["closed-loop replay digest drifted from the committed "
@@ -306,7 +308,7 @@ def gate_arena() -> list[str]:
     sys.path.insert(
         0, str(Path(__file__).resolve().parent.parent / "benchmarks")
     )
-    from bench_hotpath import GOLDEN_PATH, golden_digest
+    from golden_replay import GOLDEN_PATH, golden_digest
 
     from repro.core.policies import LevelerSpec
 

@@ -14,8 +14,8 @@ leveling interference.
   result records.
 * :mod:`repro.arena.report` — the markdown leaderboard.
 
-Run it with ``repro arena`` or publish it into ``BENCH_PR.json`` with
-``python benchmarks/bench_arena.py``.
+Run it with ``repro arena``; ``--report`` writes the markdown
+leaderboard and ``--json`` the full result.
 """
 
 from repro.arena.report import arena_report

@@ -219,19 +219,6 @@ class DeviceArray:
     def num_logical_pages(self) -> int:
         return self.striping.total_pages
 
-    def _group(self, lpns: Sequence[int]) -> list[tuple[int, list[int]]]:
-        """The batched dispatcher: one ``(shard, local LPNs)`` batch each.
-
-        Pages keep their request order within a shard; shards are applied
-        in ascending index so replays are deterministic regardless of the
-        span's starting channel.
-        """
-        buffers: list[list[int]] = [[] for _ in self.shards]
-        self.striping.route_batch(lpns, buffers)
-        return [
-            (shard, batch) for shard, batch in enumerate(buffers) if batch
-        ]
-
     def write_pages(self, lpns: Sequence[int]) -> int:
         """Generic batched dispatcher: route, group per shard, apply.
 

@@ -85,20 +85,6 @@ class StripingPolicy(ABC):
             shard, local = self.route(lpn)
             buffers[shard].append(local)
 
-    def route_span(
-        self, start: int, stop: int
-    ) -> list[tuple[int, range]] | None:
-        """Route the contiguous span ``[start, stop)`` as per-shard ranges.
-
-        Returns one ``(shard, local range)`` batch per touched shard in
-        ascending shard order, each local range ascending — exactly the
-        batches :meth:`route_batch` would build for the same ascending
-        span, without the per-page arithmetic.  Policies whose local
-        image of a span is not contiguous return ``None``; callers then
-        fall back to :meth:`route_batch`.
-        """
-        return None
-
     def compile_pages_dispatch(
         self,
         page_ops: Sequence[Callable[[int], object]],
@@ -152,27 +138,6 @@ class PageInterleaved(StripingPolicy):
                 buffers[lpn % shards].append(lpn // shards)
             else:
                 self.check(lpn)
-
-    def route_span(
-        self, start: int, stop: int
-    ) -> list[tuple[int, range]] | None:
-        # Shard s owns the lpns ≡ s (mod N); within an ascending span they
-        # are N apart, so their local images (lpn // N) are consecutive.
-        if start < 0:
-            self.check(start)
-        if stop > self.total_pages:
-            self.check(stop - 1)
-        shards = self.num_shards
-        batches: list[tuple[int, range]] = []
-        for shard in range(shards):
-            first = start + (shard - start) % shards
-            if first >= stop:
-                continue
-            last = first + (stop - 1 - first) // shards * shards
-            batches.append(
-                (shard, range(first // shards, last // shards + 1))
-            )
-        return batches
 
     def compile_pages_dispatch(
         self,
@@ -284,28 +249,6 @@ class ContiguousRange(StripingPolicy):
                 buffers[lpn // per_shard].append(lpn % per_shard)
             else:
                 self.check(lpn)
-
-    def route_span(
-        self, start: int, stop: int
-    ) -> list[tuple[int, range]] | None:
-        # A span intersected with shard s's contiguous slice is itself
-        # contiguous; shifting by the slice base gives the local range.
-        if start < 0:
-            self.check(start)
-        if stop > self.total_pages:
-            self.check(stop - 1)
-        if start >= stop:
-            return []
-        per_shard = self.pages_per_shard
-        batches: list[tuple[int, range]] = []
-        for shard in range(start // per_shard, (stop - 1) // per_shard + 1):
-            base = shard * per_shard
-            batches.append(
-                (shard,
-                 range(max(start, base) - base,
-                       min(stop, base + per_shard) - base))
-            )
-        return batches
 
     def compile_pages_dispatch(
         self,

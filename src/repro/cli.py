@@ -93,6 +93,7 @@ from repro.traces.generator import DAY, WorkloadParams
 from repro.traces.io import load_trace, save_trace
 from repro.traces.stats import summarize
 from repro.util.diagnostics import configure_logging
+from repro.util.files import open_output
 from repro.util.tables import format_table
 
 
@@ -526,7 +527,7 @@ def _supervised_sweep(
         print(f"  quarantined: {cell.label} after {cell.attempts} "
               f"attempt(s): {cell.error}")
     if args.report:
-        with open(args.report, "w") as handle:
+        with open_output(args.report) as handle:
             handle.write(campaign_markdown_report(
                 report,
                 title=f"{args.driver.upper()} first-failure sweep",
@@ -870,13 +871,13 @@ def _command_arena(args: argparse.Namespace) -> int:
     )
     print(arena_console_table(result))
     if args.report:
-        with open(args.report, "w") as handle:
+        with open_output(args.report) as handle:
             handle.write(arena_report(result))
         print(f"\nmarkdown leaderboard written to {args.report}")
     if args.json:
         import json
 
-        with open(args.json, "w") as handle:
+        with open_output(args.json) as handle:
             json.dump(result.as_dict(), handle, indent=2)
             handle.write("\n")
         print(f"arena JSON written to {args.json}")
@@ -934,7 +935,7 @@ def _command_faults(args: argparse.Namespace) -> int:
     for violation in result.violations:
         print(f"  violation: {violation}")
     if args.report:
-        with open(args.report, "w") as handle:
+        with open_output(args.report) as handle:
             handle.write(fault_campaign_report(result))
         print(f"\nmarkdown report written to {args.report}")
     return 0 if result.ok else 1

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.analysis.figures import sparkline
 from repro.sim.engine import SimResult
 from repro.sim.metrics import improvement_ratio
+from repro.util.files import open_output
 
 if TYPE_CHECKING:
     from repro.ckpt.supervisor import CampaignReport
@@ -160,7 +161,7 @@ def save_report(
     **kwargs: object,
 ) -> None:
     """Write :func:`markdown_report` output to ``path``."""
-    with open(path, "w") as handle:
+    with open_output(path) as handle:
         handle.write(markdown_report(results, **kwargs))  # type: ignore[arg-type]
 
 
@@ -276,7 +277,7 @@ def save_service_report(
     **kwargs: object,
 ) -> None:
     """Write :func:`service_markdown_report` output to ``path``."""
-    with open(path, "w") as handle:
+    with open_output(path) as handle:
         handle.write(
             service_markdown_report(results, **kwargs)  # type: ignore[arg-type]
         )
@@ -511,5 +512,5 @@ def save_endurance_report(
     **kwargs: object,
 ) -> None:
     """Write :func:`endurance_markdown_report` output to ``path``."""
-    with open(path, "w") as handle:
+    with open_output(path) as handle:
         handle.write(endurance_markdown_report(results, **kwargs))  # type: ignore[arg-type]

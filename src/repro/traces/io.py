@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.traces.model import Op, Request
+from repro.util.files import open_output
 
 _MAGIC = b"FTRC"
 _HEADER = struct.Struct("<4sIQ")       # magic, version, record count
@@ -33,7 +34,7 @@ _VERSION = 1
 def save_trace_csv(path: str | Path, requests: Iterable[Request]) -> int:
     """Write a trace as CSV; returns the number of records written."""
     count = 0
-    with open(path, "w", newline="") as handle:
+    with open_output(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time", "op", "lba", "sectors"])
         for request in requests:
@@ -73,7 +74,7 @@ def save_trace_binary(path: str | Path, requests: Iterable[Request]) -> int:
                      request.sectors, request.lba)
         for request in requests
     ]
-    with open(path, "wb") as handle:
+    with open_output(path, "wb") as handle:
         handle.write(_HEADER.pack(_MAGIC, _VERSION, len(records)))
         handle.writelines(records)
     return len(records)

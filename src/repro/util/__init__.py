@@ -3,6 +3,7 @@
 This package deliberately contains only dependency-free building blocks:
 
 * :mod:`repro.util.bitarray` -- the compact bit array backing the BET.
+* :mod:`repro.util.files` -- output files that create their directory.
 * :mod:`repro.util.rng` -- deterministic random-number plumbing.
 * :mod:`repro.util.tables` -- plain-text table rendering for reports.
 """

@@ -230,3 +230,21 @@ class TestLoggingOptions:
         with pytest.raises(ValueError, match="unknown log level"):
             main(["--log-level", "LOUD", "simulate", "--blocks", "24",
                   "--scale", "100", "--days", "0.05", "--seed", "2"])
+
+
+class TestOutputPaths:
+    def test_arena_creates_missing_output_directories(self, tmp_path, capsys):
+        out_dir = tmp_path / "a" / "b"
+        code = main([
+            "arena", "--levelers", "baseline", "swl",
+            "--workloads", "hotspot", "--blocks", "24", "--scale", "100",
+            "--horizon-days", "0.02", "--service-requests", "200",
+            "--no-faults", "--seed", "7",
+            "--report", str(out_dir / "arena.md"),
+            "--json", str(out_dir / "arena.json"),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        assert "swl" in (out_dir / "arena.md").read_text().lower()
+        document = json.loads((out_dir / "arena.json").read_text())
+        assert document["leaderboard"]
