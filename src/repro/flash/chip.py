@@ -12,7 +12,14 @@ Models exactly the properties the paper's experiments depend on:
   paper's Table 4 methodology — the chip keeps operating after wear-out
   unless ``fail_stop`` is requested;
 * each page carries a small spare-area record (the logical address tag and
-  status of Figure 2(a)).
+  status of Figure 2(a));
+* every read, program and erase charges its datasheet latency to
+  :attr:`NandFlash.busy_time` (the device-busy clock), whatever the
+  outcome.
+
+The page primitives are the bottom of the page path: each validates its
+address and page state inline and does its whole job in one Python
+frame, so a driver's page operation costs exactly one call below it.
 
 Data payloads are optional: wear-leveling behaviour depends only on page
 *state*, so by default the simulator tracks states and spare data without
@@ -34,6 +41,7 @@ from repro.flash.errors import (
     WearOutError,
 )
 from repro.flash.geometry import FlashGeometry
+from repro.flash.timing import TimingModel, timing_for
 from repro.obs.bus import M_ERASE, M_PROGRAM, M_READ
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -140,6 +148,13 @@ class NandFlash:
         self.bad_blocks: set[int] = set()
         self._injector: FaultInjector | None = None
         self._obs: BusLike | None = None
+        #: Latencies charged per primitive: the cell-type default until
+        #: the MTD layer selects the model.
+        self.timing: TimingModel = timing_for(geometry)
+        #: Accumulated device-busy seconds: one ``+=`` of the primitive's
+        #: latency per read/program/erase, charged before the operation's
+        #: checks run, so rejected and faulted operations count too.
+        self.busy_time = 0.0
 
     # ------------------------------------------------------------------
     # Fault injection and bad-block marks
@@ -178,17 +193,22 @@ class NandFlash:
     # Address validation
     # ------------------------------------------------------------------
     def _check_block(self, block: int) -> None:
-        if not self.geometry.contains_block(block):
-            raise AddressError(
-                f"block {block} out of range [0, {self.geometry.num_blocks})",
-                block=block,
-            )
+        if not 0 <= block < self._num_blocks:
+            raise self._block_address_error(block)
+
+    def _block_address_error(self, block: int) -> AddressError:
+        return AddressError(
+            f"block {block} out of range [0, {self._num_blocks})",
+            block=block,
+        )
 
     def _check_page(self, block: int, page: int) -> int:
-        # Hot path: one flattened bounds test instead of two range checks.
         if 0 <= page < self._ppb and 0 <= block < self._num_blocks:
             return block * self._ppb + page
-        raise AddressError(
+        raise self._page_address_error(block, page)
+
+    def _page_address_error(self, block: int, page: int) -> AddressError:
+        return AddressError(
             f"page ({block}, {page}) out of range for geometry "
             f"{self.geometry.name}",
             block=block,
@@ -196,7 +216,8 @@ class NandFlash:
         )
 
     # ------------------------------------------------------------------
-    # Primitive operations
+    # Primitive operations (one frame each: checks are inline, and the
+    # error builders above run only on the error path)
     # ------------------------------------------------------------------
     def read(self, block: int, page: int) -> tuple[int, bytes | None]:
         """Read one page; returns ``(spare_lba, payload)``.
@@ -204,7 +225,11 @@ class NandFlash:
         ``spare_lba`` is -1 for a free page.  ``payload`` is ``None``
         unless ``store_data`` is enabled and the page holds data.
         """
-        index = self._check_page(block, page)
+        self.busy_time += self.timing.read_page
+        ppb = self._ppb
+        if not (0 <= page < ppb and 0 <= block < self._num_blocks):
+            raise self._page_address_error(block, page)
+        index = block * ppb + page
         if self._injector is not None:
             self._injector.on_read(block, page)
         self.counters.reads += 1
@@ -226,17 +251,21 @@ class NandFlash:
         Raises :class:`ProgramError` on overwrite of a non-free page, and on
         out-of-order programming when ``enforce_sequential_program`` is set.
         """
-        index = self._check_page(block, page)
-        if self._states[index] != PAGE_FREE:
+        self.busy_time += self.timing.program_page
+        ppb = self._ppb
+        if not (0 <= page < ppb and 0 <= block < self._num_blocks):
+            raise self._page_address_error(block, page)
+        index = block * ppb + page
+        states = self._states
+        if states[index] != PAGE_FREE:
             raise ProgramError(
-                f"page ({block}, {page}) is {_STATE_NAMES[self._states[index]]}; "
+                f"page ({block}, {page}) is {_STATE_NAMES[states[index]]}; "
                 "NAND pages must be erased before reprogramming",
                 block=block,
                 page=page,
             )
         if self.enforce_sequential_program and page > 0:
-            prev = self.geometry.page_index(block, page - 1)
-            if self._states[prev] == PAGE_FREE:
+            if states[index - 1] == PAGE_FREE:
                 raise ProgramError(
                     f"page ({block}, {page}) programmed before page "
                     f"({block}, {page - 1}); sequential order required",
@@ -252,17 +281,17 @@ class NandFlash:
                 # the next attach scan — modelled as the invalid state
                 # with no spare tag.
                 if self._injector.plan.torn_writes:
-                    self._states[index] = PAGE_INVALID
+                    states[index] = PAGE_INVALID
                     self._injector.note_torn_page()
                 raise
             except ProgramFaultError:
                 # Program failure: charge moved but verification failed.
                 # The page is unusable until the block is erased, and the
                 # attempt still counts as device activity.
-                self._states[index] = PAGE_INVALID
+                states[index] = PAGE_INVALID
                 self.counters.programs += 1
                 raise
-        self._states[index] = PAGE_VALID
+        states[index] = PAGE_VALID
         self._spare_lba[index] = lba
         if self.store_data and data is not None:
             self._data[index] = bytes(data)
@@ -272,8 +301,14 @@ class NandFlash:
             obs.emit_program(block, page, lba)
 
     def invalidate(self, block: int, page: int) -> None:
-        """Mark a valid page invalid (out-place update of its logical data)."""
-        index = self._check_page(block, page)
+        """Mark a valid page invalid (out-place update of its logical data).
+
+        A spare-area status update, not an array operation: no busy time.
+        """
+        ppb = self._ppb
+        if not (0 <= page < ppb and 0 <= block < self._num_blocks):
+            raise self._page_address_error(block, page)
+        index = block * ppb + page
         if self._states[index] != PAGE_VALID:
             raise ProgramError(
                 f"cannot invalidate page ({block}, {page}): it is "
@@ -295,14 +330,16 @@ class NandFlash:
         pages, erase counts, and listeners untouched, so a driver retry
         models exactly one more attempt.
         """
-        self._check_block(block)
+        self.busy_time += self.timing.erase_block
+        if not 0 <= block < self._num_blocks:
+            raise self._block_address_error(block)
         if self._injector is not None:
             self._injector.on_erase(block, self.erase_counts[block])
         previous = self.erase_counts[block]
         self.erase_counts[block] = previous + 1
         self.wear.record_erase(block, previous)
         self.counters.erases += 1
-        if self.erase_counts[block] > self.geometry.endurance:
+        if previous >= self.geometry.endurance:
             if block not in self.worn_blocks:
                 self.worn_blocks.add(block)
                 if self.first_failure is None:
@@ -319,12 +356,14 @@ class NandFlash:
                     f"{self.geometry.endurance}",
                     block=block,
                 )
-        start = block * self.geometry.pages_per_block
-        stop = start + self.geometry.pages_per_block
-        for index in range(start, stop):
-            self._states[index] = PAGE_FREE
-            self._spare_lba[index] = -1
-            self._data.pop(index, None)
+        ppb = self._ppb
+        start = block * ppb
+        stop = start + ppb
+        self._states[start:stop] = bytes(ppb)            # PAGE_FREE
+        self._spare_lba[start:stop] = [-1] * ppb
+        if self._data:
+            for index in range(start, stop):
+                self._data.pop(index, None)
         self._block_tags.pop(block, None)
         obs = self._obs
         if obs is not None and obs.mask & M_ERASE:

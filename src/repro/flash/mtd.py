@@ -2,16 +2,27 @@
 
 Paper Figure 1 places an MTD driver between the Flash Translation Layer and
 the raw flash: it "provide[s] primitive functions, such as read, write, and
-erase over flash memory".  This class is that layer for the simulator: a
-thin pass-through to :class:`~repro.flash.chip.NandFlash` that additionally
-accumulates device-busy time from a :class:`~repro.flash.timing.TimingModel`
-and exposes operation counters, so higher layers never touch the chip
-object directly.
+erase over flash memory".  :class:`MtdDevice` is that interface for the
+simulator, and nothing more than the interface:
+
+* it selects the chip's :class:`~repro.flash.timing.TimingModel` (the
+  cell-type default unless one is given);
+* its primitives — :attr:`~MtdDevice.read_page`,
+  :attr:`~MtdDevice.write_page`, :attr:`~MtdDevice.erase_block` and
+  :attr:`~MtdDevice.invalidate_page` — *are* the chip's own bound methods,
+  so a page operation costs no MTD frame of its own;
+* :attr:`~MtdDevice.busy_time` reads the device-busy clock the chip
+  charges on every read, program and erase.
+
+Drivers reach the chip only through these names, looked up on the MTD at
+call time, so instrumentation that rebinds them on an instance sees every
+page operation.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import attrgetter
 
 from repro.flash.chip import NandFlash, OpCounters
 from repro.flash.geometry import FlashGeometry
@@ -47,42 +58,26 @@ class MtdDevice:
             raise ValueError("chip kwargs are only valid when MTD creates the chip")
         self.flash = flash
         self.geometry = flash.geometry
-        self.timing = timing or timing_for(flash.geometry)
-        self.busy_time = 0.0
-        #: Service time of the most recent primitive, so drivers that
-        #: need per-operation latency (the service engine) can read it
-        #: without diffing ``busy_time`` around every call.
-        self.last_op_time = 0.0
+        flash.timing = timing or timing_for(flash.geometry)
+        # Paper Figure 1's primitives: read / write / erase, plus the
+        # spare-area status update that marks superseded data.
+        self.read_page: Callable[[int, int], tuple[int, bytes | None]] = (
+            flash.read
+        )
+        self.write_page: Callable[..., None] = flash.program
+        self.erase_block: Callable[[int], None] = flash.erase
+        self.invalidate_page: Callable[[int, int], None] = flash.invalidate
 
-    # ------------------------------------------------------------------
-    # Primitive operations (paper Figure 1: read / write / erase)
-    # ------------------------------------------------------------------
-    def read_page(self, block: int, page: int) -> tuple[int, bytes | None]:
-        """Read one page; returns ``(spare_lba, payload)``."""
-        elapsed = self.timing.read_page
-        self.last_op_time = elapsed
-        self.busy_time += elapsed
-        return self.flash.read(block, page)
-
-    def write_page(
-        self, block: int, page: int, *, lba: int, data: bytes | None = None
-    ) -> None:
-        """Program one page."""
-        elapsed = self.timing.program_page
-        self.last_op_time = elapsed
-        self.busy_time += elapsed
-        self.flash.program(block, page, lba=lba, data=data)
-
-    def erase_block(self, block: int) -> None:
-        """Erase one block (~1.5 ms on MLC×2 per the paper's datasheet)."""
-        elapsed = self.timing.erase_block
-        self.last_op_time = elapsed
-        self.busy_time += elapsed
-        self.flash.erase(block)
-
-    def invalidate_page(self, block: int, page: int) -> None:
-        """Mark a page's data superseded (a spare-area status update)."""
-        self.flash.invalidate(block, page)
+    # Read-only views of chip state.  The getters are C-level
+    # ``attrgetter`` objects, so hot readers (per-request latency
+    # sampling reads ``busy_time`` once per channel) pay no Python frame.
+    busy_time = property(
+        attrgetter("flash.busy_time"),
+        doc="Accumulated device-busy seconds (the chip's clock).",
+    )
+    timing = property(
+        attrgetter("flash.timing"), doc="The latency model the chip charges."
+    )
 
     def copy_page(
         self, src: tuple[int, int], dst: tuple[int, int]

@@ -2,10 +2,10 @@
 
 Paper Section 4.2 quotes a block erase time of "about 1.5 ms over a 1GB
 MLC×2 flash memory", citing the STMicroelectronics NAND08Gx3C2A datasheet
-[8].  This module encodes per-operation latencies so the MTD layer can
-accumulate device-busy time; the simulation engine uses trace timestamps
-for wall-clock (first-failure) time, and device-busy time is reported as an
-auxiliary overhead metric.
+[8].  This module encodes per-operation latencies: the MTD layer selects a
+model and the chip charges it to its device-busy time.  The simulation
+engine uses trace timestamps for wall-clock (first-failure) time, and
+device-busy time is reported as an auxiliary overhead metric.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ class TimingModel:
         """Per-operation latency by primitive name.
 
         ``op`` is one of ``"read"``, ``"program"``, ``"erase"`` — the
-        three MTD primitives of paper Figure 1.  This is the lookup the
-        service engine and exporters use to reason about a single
-        operation's service time, where the replay path only ever needs
-        the accumulated ``busy_time``.
+        three MTD primitives of paper Figure 1.  A convenience for
+        reasoning about one operation's service time; the simulator
+        itself only charges the fields directly, accumulating the chip's
+        ``busy_time``.
         """
         if op == "read":
             return self.read_page

@@ -18,6 +18,7 @@ not the free-block *allocation* policy.  Two policies are provided:
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 
 from repro.flash.errors import OutOfSpaceError
 
@@ -53,6 +54,11 @@ class BlockAllocator:
         self.policy = policy
         self._erase_counts = erase_counts
         self._free: set[int] = set()
+        #: ``contains(block)``: ``True`` when ``block`` is in the free
+        #: pool.  It is the pool set's own membership test, so the
+        #: Cleaner's per-block victim scans pay no Python frame for it;
+        #: the set is therefore only ever mutated in place.
+        self.contains: Callable[[int], bool] = self._free.__contains__
         self._heap: list[tuple[int, int]] = []
         self._stack: list[int] = []
         for block in initial_free:
@@ -63,10 +69,6 @@ class BlockAllocator:
     def free_count(self) -> int:
         """Number of blocks currently available."""
         return len(self._free)
-
-    def contains(self, block: int) -> bool:
-        """``True`` when ``block`` is in the free pool."""
-        return block in self._free
 
     def allocate(self) -> int:
         """Remove and return the next free block per the policy.
@@ -164,7 +166,8 @@ class BlockAllocator:
                 f"allocator snapshot policy {state['policy']!r} does not "
                 f"match {self.policy!r}"
             )
-        self._free = set(state["free"])  # type: ignore[arg-type]
+        self._free.clear()
+        self._free.update(state["free"])  # type: ignore[arg-type]
         self._stack = list(state["stack"])  # type: ignore[arg-type]
         self._heap = [(wear, block) for wear, block in state["heap"]]  # type: ignore[union-attr]
 

@@ -138,6 +138,9 @@ class TranslationLayer(ABC):
             )
         self.mtd = mtd
         self.geometry = mtd.geometry
+        #: Pages per block as a plain integer: the page path converts
+        #: between ``(block, page)`` and flat page indices inline with it.
+        self._ppb = self.geometry.pages_per_block
         self.op_ratio = op_ratio
         self.alloc_policy = alloc_policy
         # The Cleaner engages when free blocks drop to this count.  At the
@@ -289,10 +292,15 @@ class TranslationLayer(ABC):
 
     def check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.num_logical_pages:
-            raise TranslationError(
-                f"logical page {lpn} out of range [0, {self.num_logical_pages}) "
-                f"for {self.name} over {self.geometry.name}"
-            )
+            raise self._lpn_error(lpn)
+
+    def _lpn_error(self, lpn: int) -> TranslationError:
+        """The error :meth:`check_lpn` raises; host paths that test the
+        range inline raise it themselves."""
+        return TranslationError(
+            f"logical page {lpn} out of range [0, {self.num_logical_pages}) "
+            f"for {self.name} over {self.geometry.name}"
+        )
 
     # ------------------------------------------------------------------
     # Host operations

@@ -354,7 +354,7 @@ class StorageStack:
                 "snapshot and stack disagree on the presence of a fault injector"
             )
         self.flash.restore_state(state["flash"])  # type: ignore[arg-type]
-        self.mtd.busy_time = state["busy_time"]  # type: ignore[assignment]
+        self.flash.busy_time = state["busy_time"]  # type: ignore[assignment]
         self.layer.restore_state(state["layer"])  # type: ignore[arg-type]
         if self.leveler is not None:
             self.leveler.restore_state(leveler_state)  # type: ignore[arg-type]

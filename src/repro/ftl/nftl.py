@@ -90,6 +90,7 @@ class NFTL(TranslationLayer):
         )
         geometry = self.geometry
         self.num_vbas = geometry.num_blocks - self._reserve_blocks()
+        self._num_logical_pages = self.num_vbas * self._ppb
         self._chains: list[BlockChain | None] = [None] * self.num_vbas
         #: Physical block -> owning chain (None when free).
         self._owner: list[BlockChain | None] = [None] * geometry.num_blocks
@@ -108,12 +109,16 @@ class NFTL(TranslationLayer):
     # ------------------------------------------------------------------
     @property
     def num_logical_pages(self) -> int:
-        return self.num_vbas * self.geometry.pages_per_block
+        return self._num_logical_pages
 
     def split_lpn(self, lpn: int) -> tuple[int, int]:
-        """LBA split of Section 2.2: (virtual block address, block offset)."""
-        self.check_lpn(lpn)
-        return divmod(lpn, self.geometry.pages_per_block)
+        """LBA split of Section 2.2: (virtual block address, block offset).
+
+        The host paths below do the same split inline.
+        """
+        if not 0 <= lpn < self._num_logical_pages:
+            raise self._lpn_error(lpn)
+        return divmod(lpn, self._ppb)
 
     def chain_of(self, vba: int) -> BlockChain | None:
         """Translation state of one VBA (``None`` when never written)."""
@@ -124,15 +129,21 @@ class NFTL(TranslationLayer):
     # ------------------------------------------------------------------
     # Host operations
     # ------------------------------------------------------------------
+    # Host reads and writes are page-path code: the range check, the LBA
+    # split and every address conversion run inline, so each page
+    # operation costs one chip frame below the driver.
     def read(self, lpn: int) -> bytes | None:
-        vba, offset = self.split_lpn(lpn)
+        if not 0 <= lpn < self._num_logical_pages:
+            raise self._lpn_error(lpn)
+        vba, offset = divmod(lpn, self._ppb)
         self.stats.host_reads += 1
         chain = self._chains[vba]
-        if chain is None or chain.locations[offset] == _NOWHERE:
+        if chain is None:
             return None
-        _, payload = self.mtd.read_page(
-            *self.geometry.page_address(chain.locations[offset])
-        )
+        index = chain.locations[offset]
+        if index == _NOWHERE:
+            return None
+        _, payload = self.mtd.read_page(*divmod(index, self._ppb))
         return payload
 
     def write(self, lpn: int, data: bytes | None = None) -> None:
@@ -142,9 +153,11 @@ class NFTL(TranslationLayer):
         its associated replacement block had to be recycled by NFTL when
         the replacement block was full").
         """
-        vba, offset = self.split_lpn(lpn)
+        if not 0 <= lpn < self._num_logical_pages:
+            raise self._lpn_error(lpn)
+        ppb = self._ppb
+        vba, offset = divmod(lpn, ppb)
         self.stats.host_writes += 1
-        ppb = self.geometry.pages_per_block
         chain = self._chains[vba]
         if chain is None:
             chain = self._open_chain(vba)
@@ -182,11 +195,12 @@ class NFTL(TranslationLayer):
             break
         old = chain.locations[offset]
         if old != _NOWHERE:
-            self.mtd.invalidate_page(*self.geometry.page_address(old))
+            self.mtd.invalidate_page(*divmod(old, ppb))
         else:
             chain.valid_offsets += 1
-        chain.locations[offset] = self.geometry.page_index(dest_block, dest_page)
-        self._process_pending_retirements()
+        chain.locations[offset] = dest_block * ppb + dest_page
+        if self._pending_retire:
+            self._process_pending_retirements()
 
     def _primary_page_used(self, chain: BlockChain, offset: int) -> bool:
         """``True`` when the primary's home page for ``offset`` was programmed.
@@ -252,7 +266,7 @@ class NFTL(TranslationLayer):
         chain = BlockChain(
             vba=vba,
             primary=primary,
-            locations=[_NOWHERE] * self.geometry.pages_per_block,
+            locations=[_NOWHERE] * self._ppb,
         )
         self._chains[vba] = chain
         self._owner[primary] = chain
@@ -324,28 +338,31 @@ class NFTL(TranslationLayer):
         retry drains them out again.  Faulted intermediates are erased and
         retired once the fold completes.
         """
-        geometry = self.geometry
+        mtd = self.mtd
+        ppb = self._ppb
+        locations = chain.locations
         failed_primaries: list[int] = []
         while True:
             new_primary = self.allocator.allocate()
-            self.mtd.flash.set_block_tag(new_primary, f"P{chain.vba}")
+            mtd.flash.set_block_tag(new_primary, f"P{chain.vba}")
+            base = new_primary * ppb
             copied = 0
             faulted = False
-            for offset in range(geometry.pages_per_block):
-                index = chain.locations[offset]
+            for offset in range(ppb):
+                index = locations[offset]
                 if index == _NOWHERE:
                     continue
-                src = geometry.page_address(index)
-                lba, payload = self.mtd.read_page(*src)
+                src_block, src_page = divmod(index, ppb)
+                lba, payload = mtd.read_page(src_block, src_page)
                 try:
-                    self.mtd.write_page(new_primary, offset, lba=lba, data=payload)
+                    mtd.write_page(new_primary, offset, lba=lba, data=payload)
                 except ProgramFaultError:
                     self._on_program_fault(new_primary)
                     failed_primaries.append(new_primary)
                     faulted = True
                     break
-                self.mtd.invalidate_page(*src)
-                chain.locations[offset] = geometry.page_index(new_primary, offset)
+                mtd.invalidate_page(src_block, src_page)
+                locations[offset] = base + offset
                 copied += 1
             if not faulted:
                 break

@@ -23,6 +23,8 @@ Implementation notes
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.flash.chip import PAGE_FREE, PAGE_VALID
 from repro.flash.errors import OutOfSpaceError, ProgramFaultError
 from repro.flash.mtd import MtdDevice
@@ -34,6 +36,14 @@ from repro.obs.events import Recovery
 from repro.util.diagnostics import fault_log
 
 _UNMAPPED = -1
+
+
+def _frontier_copy(frontier: list[int] | None) -> list[int] | None:
+    """A detached ``[block, next page]`` (frontiers advance in place)."""
+    if frontier is None:
+        return None
+    block, page = frontier
+    return [block, page]
 
 
 class PageMappingFTL(TranslationLayer):
@@ -79,14 +89,15 @@ class PageMappingFTL(TranslationLayer):
             policy=alloc_policy,
         )
         self.scanner = CyclicScanner(geometry.num_blocks)
-        # Write frontiers: (block, next free page) or None when closed.
-        # Host writes, Cleaner copies, and SW-Leveler cold moves each get
-        # their own frontier so hot, reclaimed, and cold data never share
-        # a block — mixing cold pages into the Cleaner's destination would
-        # make every later collection re-copy them.
-        self._host_frontier: tuple[int, int] | None = None
-        self._copy_frontier: tuple[int, int] | None = None
-        self._cold_frontier: tuple[int, int] | None = None
+        # Write frontiers: [block, next free page] or None when closed,
+        # advanced in place by the page path.  Host writes, Cleaner
+        # copies, and SW-Leveler cold moves each get their own frontier
+        # so hot, reclaimed, and cold data never share a block — mixing
+        # cold pages into the Cleaner's destination would make every
+        # later collection re-copy them.
+        self._host_frontier: list[int] | None = None
+        self._copy_frontier: list[int] | None = None
+        self._cold_frontier: list[int] | None = None
         # Blocks that suffered a program fault, awaiting relocation and
         # retirement at the next safe point (end of the host write).
         self._pending_retire: list[int] = []
@@ -110,56 +121,77 @@ class PageMappingFTL(TranslationLayer):
     # ------------------------------------------------------------------
     # Host operations
     # ------------------------------------------------------------------
+    # Host reads and writes are the page path's straight-line code: the
+    # range check, the open-frontier program and the invalidation of the
+    # old copy run inline, one chip frame per page operation.  A full or
+    # faulted frontier falls into :meth:`_write_with_recovery`.
     def read(self, lpn: int) -> bytes | None:
-        self.check_lpn(lpn)
+        if not 0 <= lpn < self._num_logical_pages:
+            raise self._lpn_error(lpn)
         self.stats.host_reads += 1
         index = self._l2p[lpn]
         if index == _UNMAPPED:
             return None
-        _, payload = self.mtd.read_page(*self.geometry.page_address(index))
+        _, payload = self.mtd.read_page(*divmod(index, self._ppb))
         return payload
 
     def write(self, lpn: int, data: bytes | None = None) -> None:
         """Out-place update: program a free page, invalidate the old copy."""
-        self.check_lpn(lpn)
+        if not 0 <= lpn < self._num_logical_pages:
+            raise self._lpn_error(lpn)
         self.stats.host_writes += 1
-        block, page = self._write_with_recovery("host", lpn, data)
+        ppb = self._ppb
+        frontier = self._host_frontier
+        if frontier is not None and frontier[1] < ppb:
+            block, page = frontier
+            frontier[1] = page + 1
+            try:
+                self.mtd.write_page(block, page, lba=lpn, data=data)
+            except ProgramFaultError:
+                self._on_program_fault(block, "host")
+                block, page = self._write_with_recovery(
+                    self._next_host_page, "host", lpn, data
+                )
+        else:
+            block, page = self._write_with_recovery(
+                self._next_host_page, "host", lpn, data
+            )
         # Read the old location only *after* the program landed: garbage
         # collection inside the frontier advance may have relocated it.
-        old = self._l2p[lpn]
+        l2p, p2l = self._l2p, self._p2l
+        old = l2p[lpn]
         self._valid[block] += 1
-        index = self.geometry.page_index(block, page)
-        self._p2l[index] = lpn
-        self._l2p[lpn] = index
+        index = block * ppb + page
+        p2l[index] = lpn
+        l2p[lpn] = index
         if old != _UNMAPPED:
-            self._invalidate(old)
-        self._process_pending_retirements()
+            old_block, old_page = divmod(old, ppb)
+            self.mtd.invalidate_page(old_block, old_page)
+            p2l[old] = _UNMAPPED
+            self._valid[old_block] -= 1
+            self._invalid[old_block] += 1
+        if self._pending_retire:
+            self._process_pending_retirements()
 
     # ------------------------------------------------------------------
     # Space management
     # ------------------------------------------------------------------
-    def _invalidate(self, index: int) -> None:
-        block, page = self.geometry.page_address(index)
-        self.mtd.invalidate_page(block, page)
-        self._p2l[index] = _UNMAPPED
-        self._valid[block] -= 1
-        self._invalid[block] += 1
-
     def _write_with_recovery(
-        self, kind: str, lba: int, data: bytes | None
+        self,
+        next_page: Callable[[], tuple[int, int]],
+        kind: str,
+        lba: int,
+        data: bytes | None,
     ) -> tuple[int, int]:
         """Program ``(lba, data)`` on the ``kind`` frontier, surviving faults.
 
-        A :class:`ProgramFaultError` leaves the attempted page invalid on
+        ``next_page`` is that frontier's advance (it opens a fresh block
+        when the frontier is closed or full).  A
+        :class:`ProgramFaultError` leaves the attempted page invalid on
         the chip; the faulted block's frontier is closed, the block is
         queued for retirement, and the write re-issues on a fresh page —
         the paper-era firmware response to a grown-bad block.
         """
-        next_page = {
-            "host": self._next_host_page,
-            "copy": self._next_copy_page,
-            "cold": self._next_cold_page,
-        }[kind]
         for _ in range(self.geometry.total_pages):
             block, page = next_page()
             try:
@@ -226,13 +258,12 @@ class PageMappingFTL(TranslationLayer):
     def _next_host_page(self) -> tuple[int, int]:
         """Next free page on the host frontier, opening a new block if full."""
         frontier = self._host_frontier
-        if frontier is None or frontier[1] == self.geometry.pages_per_block:
+        if frontier is None or frontier[1] == self._ppb:
             self._reclaim_space()
             self._recycle_dead_block()
-            self._host_frontier = (self.allocator.allocate(), 0)
-            frontier = self._host_frontier
+            frontier = self._host_frontier = [self.allocator.allocate(), 0]
         block, page = frontier
-        self._host_frontier = (block, page + 1)
+        frontier[1] = page + 1
         return block, page
 
     def _recycle_dead_block(self) -> None:
@@ -248,7 +279,7 @@ class PageMappingFTL(TranslationLayer):
         Under LIFO allocation the reclaimed block is allocated next.
         """
         frontiers = self._frontier_blocks()
-        ppb = self.geometry.pages_per_block
+        ppb = self._ppb
         # Everything the score reads is loop-invariant across one scan
         # revolution; bind it locally so the per-probe work is membership
         # tests and two list reads.
@@ -274,21 +305,19 @@ class PageMappingFTL(TranslationLayer):
         """Next free page on the copy frontier (no recursive GC here:
         the Cleaner's trigger threshold guarantees a free block exists)."""
         frontier = self._copy_frontier
-        if frontier is None or frontier[1] == self.geometry.pages_per_block:
-            self._copy_frontier = (self.allocator.allocate(), 0)
-            frontier = self._copy_frontier
+        if frontier is None or frontier[1] == self._ppb:
+            frontier = self._copy_frontier = [self.allocator.allocate(), 0]
         block, page = frontier
-        self._copy_frontier = (block, page + 1)
+        frontier[1] = page + 1
         return block, page
 
     def _next_cold_page(self) -> tuple[int, int]:
         """Next free page on the cold frontier (SW-Leveler relocations)."""
         frontier = self._cold_frontier
-        if frontier is None or frontier[1] == self.geometry.pages_per_block:
-            self._cold_frontier = (self.allocator.allocate(), 0)
-            frontier = self._cold_frontier
+        if frontier is None or frontier[1] == self._ppb:
+            frontier = self._cold_frontier = [self.allocator.allocate(), 0]
         block, page = frontier
-        self._cold_frontier = (block, page + 1)
+        frontier[1] = page + 1
         return block, page
 
     def _frontier_blocks(self) -> set[int]:
@@ -363,25 +392,45 @@ class PageMappingFTL(TranslationLayer):
         ``cold=True`` routes the copies to the dedicated cold frontier
         (SW-Leveler moves), keeping relocated cold data out of the
         Cleaner's destination blocks.
+
+        The copy loop is page-path code like :meth:`write`: a copy is one
+        chip read and, while the destination frontier is open, one chip
+        program; a full or faulted frontier falls into
+        :meth:`_write_with_recovery`.
         """
-        geometry = self.geometry
+        kind = "cold" if cold else "copy"
         next_page = self._next_cold_page if cold else self._next_copy_page
-        base = block * geometry.pages_per_block
-        for page in range(geometry.pages_per_block):
-            lpn = self._p2l[base + page]
+        mtd = self.mtd
+        ppb = self._ppb
+        p2l, l2p, valid = self._p2l, self._l2p, self._valid
+        base = block * ppb
+        for page in range(ppb):
+            lpn = p2l[base + page]
             if lpn == _UNMAPPED:
                 continue
-            lba, payload = self.mtd.read_page(block, page)
-            dest_block, dest_page = self._write_with_recovery(
-                "cold" if cold else "copy", lba, payload
-            )
+            lba, payload = mtd.read_page(block, page)
+            frontier = self._cold_frontier if cold else self._copy_frontier
+            if frontier is not None and frontier[1] < ppb:
+                dest_block, dest_page = frontier
+                frontier[1] = dest_page + 1
+                try:
+                    mtd.write_page(dest_block, dest_page, lba=lba, data=payload)
+                except ProgramFaultError:
+                    self._on_program_fault(dest_block, kind)
+                    dest_block, dest_page = self._write_with_recovery(
+                        next_page, kind, lba, payload
+                    )
+            else:
+                dest_block, dest_page = self._write_with_recovery(
+                    next_page, kind, lba, payload
+                )
             self.stats.live_page_copies += 1
-            dest_index = geometry.page_index(dest_block, dest_page)
-            self._p2l[base + page] = _UNMAPPED
-            self._p2l[dest_index] = lpn
-            self._l2p[lpn] = dest_index
-            self._valid[dest_block] += 1
-            self._valid[block] -= 1
+            dest_index = dest_block * ppb + dest_page
+            p2l[base + page] = _UNMAPPED
+            p2l[dest_index] = lpn
+            l2p[lpn] = dest_index
+            valid[dest_block] += 1
+            valid[block] -= 1
         self._erase_with_recovery(block)
         self._valid[block] = 0
         self._invalid[block] = 0
@@ -434,9 +483,9 @@ class PageMappingFTL(TranslationLayer):
             "valid": list(self._valid),
             "invalid": list(self._invalid),
             "scanner": self.scanner.snapshot_state(),
-            "host_frontier": self._host_frontier,
-            "copy_frontier": self._copy_frontier,
-            "cold_frontier": self._cold_frontier,
+            "host_frontier": _frontier_copy(self._host_frontier),
+            "copy_frontier": _frontier_copy(self._copy_frontier),
+            "cold_frontier": _frontier_copy(self._cold_frontier),
             "pending_retire": list(self._pending_retire),
         })
         return state
@@ -453,16 +502,9 @@ class PageMappingFTL(TranslationLayer):
         self._valid = list(state["valid"])  # type: ignore[arg-type]
         self._invalid = list(state["invalid"])  # type: ignore[arg-type]
         self.scanner.restore_state(state["scanner"])  # type: ignore[arg-type]
-
-        def frontier(value: object) -> tuple[int, int] | None:
-            if value is None:
-                return None
-            block, page = value  # type: ignore[misc]
-            return (block, page)
-
-        self._host_frontier = frontier(state["host_frontier"])
-        self._copy_frontier = frontier(state["copy_frontier"])
-        self._cold_frontier = frontier(state["cold_frontier"])
+        self._host_frontier = _frontier_copy(state["host_frontier"])  # type: ignore[arg-type]
+        self._copy_frontier = _frontier_copy(state["copy_frontier"])  # type: ignore[arg-type]
+        self._cold_frontier = _frontier_copy(state["cold_frontier"])  # type: ignore[arg-type]
         self._pending_retire = list(state["pending_retire"])  # type: ignore[arg-type]
         self._retiring = False
 

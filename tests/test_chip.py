@@ -85,6 +85,25 @@ class TestAddressValidation:
         with pytest.raises(AddressError):
             chip.erase(16)
 
+    @pytest.mark.parametrize("address", [(-1, 0), (16, 0), (0, -1), (0, 4)])
+    def test_bad_program_addresses(self, chip, address):
+        with pytest.raises(AddressError):
+            chip.program(*address, lba=1)
+        assert chip.counters.programs == 0
+
+    @pytest.mark.parametrize("address", [(-1, 0), (16, 0), (0, -1), (0, 4)])
+    def test_bad_invalidate_addresses(self, chip, address):
+        with pytest.raises(AddressError):
+            chip.invalidate(*address)
+
+    def test_reprogramming_valid_page_names_its_state(self, chip):
+        chip.program(1, 2, lba=7)
+        with pytest.raises(ProgramError, match="is valid") as info:
+            chip.program(1, 2, lba=8)
+        assert (info.value.block, info.value.page) == (1, 2)
+        assert chip.page_lba(1, 2) == 7
+        assert chip.counters.programs == 1
+
 
 class TestWear:
     def test_erase_counts_accumulate(self, chip):

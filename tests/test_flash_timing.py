@@ -2,14 +2,23 @@
 
 The timing model is the foundation of every latency number the service
 engine reports, so it gets dedicated coverage: validation, the derived
-copy/lookup helpers, the datasheet constants, and the per-operation
-``last_op_time`` the MTD layer records for service-time accounting.
+copy/lookup helpers, the datasheet constants, and the device-busy time
+the chip charges per primitive (read through the MTD layer), including
+for rejected and faulted operations.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import FaultPlan
+from repro.flash.errors import (
+    AddressError,
+    ProgramError,
+    ProgramFaultError,
+    TransientEraseError,
+)
 from repro.flash.geometry import CellType, FlashGeometry
 from repro.flash.mtd import MtdDevice
 from repro.flash.timing import (
@@ -69,15 +78,6 @@ class TestDatasheetConstants:
 
 
 class TestMtdServiceTime:
-    def test_last_op_time_tracks_each_primitive(self, mtd):
-        assert mtd.last_op_time == 0.0
-        mtd.write_page(0, 0, lba=1)
-        assert mtd.last_op_time == pytest.approx(mtd.timing.program_page)
-        mtd.read_page(0, 0)
-        assert mtd.last_op_time == pytest.approx(mtd.timing.read_page)
-        mtd.erase_block(0)
-        assert mtd.last_op_time == pytest.approx(mtd.timing.erase_block)
-
     def test_busy_time_is_sum_of_op_times(self, mtd):
         mtd.write_page(0, 0, lba=1)
         mtd.read_page(0, 0)
@@ -88,3 +88,45 @@ class TestMtdServiceTime:
             + mtd.timing.erase_block
         )
         assert mtd.busy_time == pytest.approx(expected)
+
+    def test_busy_time_charged_for_a_faulted_program(self, chip):
+        # A program that fails verification still occupied the device.
+        chip.attach_injector(FaultInjector(FaultPlan(program_fail_prob=1.0)))
+        mtd = MtdDevice(chip)
+        with pytest.raises(ProgramFaultError):
+            mtd.write_page(0, 0, lba=1)
+        assert mtd.busy_time == mtd.timing.program_page
+        assert chip.counters.programs == 1
+
+    def test_busy_time_charged_for_every_failed_erase_attempt(self, chip):
+        chip.attach_injector(FaultInjector(FaultPlan(erase_fail_prob=1.0)))
+        mtd = MtdDevice(chip)
+        for attempt in range(1, 4):
+            with pytest.raises(TransientEraseError):
+                mtd.erase_block(0)
+            assert mtd.busy_time == pytest.approx(
+                attempt * mtd.timing.erase_block
+            )
+        assert chip.erase_counts[0] == 0
+
+    def test_busy_time_charged_before_the_primitive_checks(self, mtd):
+        # Charging precedes validation, so rejected primitives still add
+        # their latency, in call order.
+        with pytest.raises(AddressError):
+            mtd.write_page(0, mtd.geometry.pages_per_block, lba=1)
+        with pytest.raises(AddressError):
+            mtd.read_page(mtd.geometry.num_blocks, 0)
+        mtd.write_page(0, 0, lba=1)
+        with pytest.raises(ProgramError):
+            mtd.write_page(0, 0, lba=2)
+        expected = 0.0
+        for elapsed in (mtd.timing.program_page, mtd.timing.read_page,
+                        mtd.timing.program_page, mtd.timing.program_page):
+            expected += elapsed
+        assert mtd.busy_time == expected
+
+    def test_invalidate_is_free(self, mtd):
+        mtd.write_page(0, 0, lba=1)
+        before = mtd.busy_time
+        mtd.invalidate_page(0, 0)
+        assert mtd.busy_time == before

@@ -51,6 +51,19 @@ class TestAddressTranslation:
         with pytest.raises(TranslationError):
             ftl.read(-1)
 
+    def test_range_check_runs_before_any_device_work(self, small_geometry):
+        # The inlined host-path check rejects both ends of the range and
+        # touches neither the chip nor the host-write counter.
+        ftl, chip = make_ftl(small_geometry)
+        with pytest.raises(TranslationError, match="out of range"):
+            ftl.write(-1)
+        with pytest.raises(TranslationError, match="out of range"):
+            ftl.read(ftl.num_logical_pages)
+        assert ftl.stats.host_writes == 0
+        assert ftl.stats.host_reads == 0
+        assert chip.counters.programs == 0
+        assert ftl.mtd.busy_time == 0.0
+
     def test_logical_space_reserves_blocks(self, small_geometry):
         ftl, _ = make_ftl(small_geometry)
         assert ftl.num_logical_pages < small_geometry.total_pages

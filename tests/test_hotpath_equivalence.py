@@ -9,17 +9,32 @@ bit-by-bit ``bytearray`` bit array, ``EraseDistribution.from_counts``,
 ``WearHeatmap.from_counts`` — and asserts exact equality, including the
 floating-point fields (the accounting is designed to be bit-identical,
 not merely close; see DESIGN.md, hot-path accounting invariants).
+
+The fault-path goldens at the end pin the page path's recovery code the
+same way: faulted replays on FTL and NFTL, at 1 and 4 channels, must
+hash to committed ``SimResult.as_dict()`` digests.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ckpt import run_resumable
 from repro.core.bet import BlockErasingTable
+from repro.core.config import SWLConfig
+from repro.fault.plan import FaultPlan
 from repro.obs.heatmap import WearHeatmap
+from repro.sim.experiment import (
+    ExperimentSpec,
+    make_base_trace,
+    scaled_mlc2_geometry,
+    workload_params_for,
+)
 from repro.sim.metrics import EraseDistribution, WearAccumulator
 from repro.util.bitarray import BitArray
 
@@ -298,3 +313,64 @@ def test_bet_counters_and_scan_with_short_tail_sets(num_blocks, k, seed):
     restored, _ = BlockErasingTable.from_bytes(bet.to_bytes())
     assert restored.fcnt == bet.fcnt
     assert restored.zero_flags() == bet.zero_flags()
+
+
+# ----------------------------------------------------------------------
+# Fault-path golden replays: recovery paths must replay bit for bit
+# ----------------------------------------------------------------------
+#: Program faults, transient erase failures, corrected read errors and
+#: one torn-write power loss.  The loss ordinal is chosen per
+#: configuration so it lands on a program late in the replay (shard 0
+#: counts its own operations; the other shards never lose power).
+FAULT_GOLDEN_BASE = dict(
+    seed=3, program_fail_prob=0.0005, erase_fail_prob=0.05, read_ber=1e-5,
+    torn_writes=True,
+)
+
+#: ``SimResult.as_dict()`` digests of the faulted replays below.
+FAULT_GOLDEN = {
+    ("ftl", 1, 76_519): (
+        "f0933dd6388197d24dfda4b4803c2698f79f23e9a8689ef1208b1efb4cd0a000"
+    ),
+    ("ftl", 4, 16_507): (
+        "69945ea5028b72d074b0c28ef89a30330c5fc07d35e2e13a5ebee886cffd6a1c"
+    ),
+    ("nftl", 1, 127_454): (
+        "dbfe5dc681d549e734c26a72f5f689e8753d42df21b62275cbdf2ad38815ecb2"
+    ),
+    ("nftl", 4, 23_312): (
+        "0a86a6450f42bc79a49cc2cd470648f609c81a9aa3f8be4c17ddd0116f393c34"
+    ),
+}
+
+
+def _fault_replay(driver: str, channels: int, loss_at: int):
+    spec = ExperimentSpec(
+        driver, scaled_mlc2_geometry(64, scale=100),
+        SWLConfig(enabled=True, threshold=8, k=0), seed=11,
+        channels=channels,
+    )
+    trace = make_base_trace(workload_params_for(spec, duration=3600.0, seed=5))
+    plan = FaultPlan(**FAULT_GOLDEN_BASE, power_loss_at=(loss_at,))
+    return run_resumable(
+        spec, trace, horizon=3600.0, fault_plan=plan, skip_reads=False
+    )
+
+
+@pytest.mark.parametrize(
+    "driver,channels,loss_at", sorted(FAULT_GOLDEN),
+    ids=[f"{d}-ch{c}" for d, c, _ in sorted(FAULT_GOLDEN)],
+)
+def test_fault_path_replay_matches_golden(driver, channels, loss_at):
+    """Every recovery path (program-fault re-issue, erase retry, torn
+    page at power loss, ECC-corrected reads) replays to the committed
+    digest, busy time and fault counters included."""
+    result = _fault_replay(driver, channels, loss_at)
+    data = result.as_dict()
+    assert result.power_lost
+    assert data["fault_torn_pages"] == 1
+    assert data["fault_program_faults"] > 0
+    assert data["fault_erase_faults"] > 0
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        FAULT_GOLDEN[(driver, channels, loss_at)]

@@ -32,6 +32,17 @@ class TestAddressSplit:
         with pytest.raises(TranslationError):
             nftl.read(nftl.num_logical_pages)
 
+    def test_write_range_check(self, small_geometry):
+        nftl, chip = make_nftl(small_geometry)
+        with pytest.raises(TranslationError, match="out of range"):
+            nftl.write(nftl.num_logical_pages)
+        with pytest.raises(TranslationError, match="out of range"):
+            nftl.write(-1)
+        with pytest.raises(TranslationError, match="out of range"):
+            nftl.split_lpn(nftl.num_logical_pages)
+        assert nftl.stats.host_writes == 0
+        assert chip.counters.programs == 0
+
     def test_chain_of_range_check(self, small_geometry):
         nftl, _ = make_nftl(small_geometry)
         with pytest.raises(IndexError):
